@@ -121,10 +121,11 @@ private:
 // Victim program (paper Listing-1 shape, same as the direct-DOP scenario)
 //===----------------------------------------------------------------------===//
 
-/// The scenario builders in attacks/Scenarios.cpp are internal to that
-/// translation unit, so the soak builds its own copy of the Listing-1
-/// program: driver() holds the gadget dispatcher (ctr/op/step/acc), vuln()
-/// the overflowable 64-byte buffer. A benign request returns 13.
+/// A server-sized variant of the direct scenario's Listing-1 program:
+/// driver() holds the gadget dispatcher (ctr/op/step/acc) plus unrelated
+/// locals, vuln() the overflowable 64-byte buffer next to scratch locals.
+/// The gadget variables keep the scenario's names, so the attack reuses
+/// attacks/Scenarios' buildDirectPayload. A benign request returns 13.
 constexpr uint64_t BenignReturn = 13;
 
 void buildServerModule(Module &M) {
@@ -212,34 +213,6 @@ void buildServerModule(Module &M) {
   B.ret(B.load(B.i64(), Acc));
 }
 
-/// Stale-disclosure payload: plant acc=DirectDopTarget, op=5 (set-step
-/// gadget, so acc is untouched by the final round), ctr=7 at the deltas the
-/// probe run disclosed — valid against that layout, stale against every
-/// later invocation.
-std::optional<Payload> buildStalePayload(const LayoutOracle &Oracle) {
-  for (const char *Var : {"ctr", "op", "step", "acc"})
-    if (!Oracle.knows("driver", Var))
-      return std::nullopt;
-  if (!Oracle.knows("vuln", "buff"))
-    return std::nullopt;
-  auto Delta = [&](const char *Var) {
-    return static_cast<int64_t>(Oracle.addressOf("driver", Var)) -
-           static_cast<int64_t>(Oracle.addressOf("vuln", "buff"));
-  };
-  int64_t DCtr = Delta("ctr");
-  int64_t DOp = Delta("op");
-  int64_t DStep = Delta("step");
-  int64_t DAcc = Delta("acc");
-  if (DCtr <= 0 || DOp <= 0 || DStep <= 0 || DAcc <= 0)
-    return std::nullopt;
-  Payload P(0);
-  P.pokeInt(static_cast<size_t>(DAcc), DirectDopTarget);
-  P.pokeInt(static_cast<size_t>(DStep), 1);
-  P.pokeInt(static_cast<size_t>(DOp), 5);
-  P.pokeInt(static_cast<size_t>(DCtr), 7);
-  return P;
-}
-
 /// The attacker's one disclosure pass (outside any fault scope): record
 /// the first invocation's layout, then reuse it — stale — for every
 /// attack. Shared by the sequential, pool, and socket soaks so all three
@@ -247,15 +220,10 @@ std::optional<Payload> buildStalePayload(const LayoutOracle &Oracle) {
 std::optional<Payload> discloseStalePayload(Module &M,
                                             const DeployedDefense &Deployed,
                                             uint64_t Seed) {
-  LayoutOracle Oracle(/*KeepFirst=*/true);
   DeterministicEntropySource ProbeEntropy(Seed ^ 0x9e3779b97f4a7c15ULL);
   AesCtrRandomSource ProbeRng(ProbeEntropy, /*NumRounds=*/10);
-  {
-    Interpreter ProbeVM(M, &ProbeRng, Deployed.InterpOpts);
-    ProbeVM.setLayoutObserver(&Oracle);
-    ProbeVM.run("driver");
-  }
-  std::optional<Payload> Stale = buildStalePayload(Oracle);
+  std::optional<Payload> Stale =
+      buildDirectPayload(probeLayout(M, Deployed, &ProbeRng, "driver"));
   if (!Stale)
     std::fprintf(stderr,
                  "soak: disclosed layout offers no reachable targets for "

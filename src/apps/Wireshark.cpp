@@ -8,7 +8,6 @@
 
 #include "attacks/Attacker.h"
 #include "ir/IRBuilder.h"
-#include "support/Format.h"
 
 using namespace smokestack;
 
@@ -92,36 +91,20 @@ AttackReport smokestack::runWiresharkExploit(const ScenarioConfig &Config) {
   Module M("wireshark");
   buildWiresharkModule(M);
   DeployedDefense Deployed = deployDefense(M, Config.Defense, Config.BuildSeed);
-
-  AttackReport Report;
-  LayoutOracle Oracle(/*KeepFirst=*/true);
-  {
-    Interpreter ProbeVM(M, Config.Rng, Deployed.InterpOpts);
-    ProbeVM.setLayoutObserver(&Oracle);
-    ProbeVM.run(Caller);
-  }
-  if (!Oracle.knows(Callee, "pd") || !Oracle.knows(Callee, "col") ||
-      !Oracle.knows(Callee, "cinfo") || !Oracle.knows(Caller, "result") ||
-      !Oracle.knows(Caller, "cell_idx")) {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.Detail = "probe did not disclose the gadget variables";
-    return Report;
-  }
-  int64_t Base = static_cast<int64_t>(Oracle.addressOf(Callee, "pd"));
-  int64_t OffCol = static_cast<int64_t>(Oracle.addressOf(Callee, "col")) - Base;
-  int64_t OffCinfo =
-      static_cast<int64_t>(Oracle.addressOf(Callee, "cinfo")) - Base;
-  int64_t OffIdx =
-      static_cast<int64_t>(Oracle.addressOf(Caller, "cell_idx")) - Base;
-
-  TrapKind LastTrap = TrapKind::None;
-  for (unsigned Attempt = 0; Attempt != Config.Budget; ++Attempt) {
-    Report.AttemptsUsed = Attempt + 1;
-    if (OffCol <= 0 || OffCinfo <= 0 || OffIdx <= 0) {
-      Report.Outcome = AttackOutcome::MissedTarget;
-      Report.Detail = "disclosed layout leaves the operands unreachable";
-      return Report;
-    }
+  auto Lower = [&](const LayoutOracle &Oracle) -> std::optional<Exploit> {
+    if (!Oracle.knows(Callee, "pd") || !Oracle.knows(Callee, "col") ||
+        !Oracle.knows(Callee, "cinfo") || !Oracle.knows(Caller, "result") ||
+        !Oracle.knows(Caller, "cell_idx"))
+      return std::nullopt;
+    int64_t Base = static_cast<int64_t>(Oracle.addressOf(Callee, "pd"));
+    int64_t OffCol =
+        static_cast<int64_t>(Oracle.addressOf(Callee, "col")) - Base;
+    int64_t OffCinfo =
+        static_cast<int64_t>(Oracle.addressOf(Callee, "cinfo")) - Base;
+    int64_t OffIdx =
+        static_cast<int64_t>(Oracle.addressOf(Caller, "cell_idx")) - Base;
+    if (OffCol <= 0 || OffCinfo <= 0 || OffIdx <= 0)
+      return std::nullopt; // the operands are unreachable
     // One oversized mpeg frame: linear sweep planting the write-what-where
     // pair (col=&caller.result, cinfo=target) and retiring the caller's
     // loop after this iteration (cell_idx=3, ++ -> 4).
@@ -130,26 +113,7 @@ AttackReport smokestack::runWiresharkExploit(const ScenarioConfig &Config) {
                   Oracle.addressOf(Caller, "result"));
     Frame.pokeInt(static_cast<size_t>(OffCinfo), WiresharkTarget);
     Frame.pokeInt(static_cast<size_t>(OffIdx), 3);
-
-    Interpreter VM(M, Config.Rng, Deployed.InterpOpts);
-    VM.pushInput(Frame.bytes());
-    ExecResult R = VM.run(Caller);
-    if (R.ok() && R.ReturnValue == WiresharkTarget) {
-      Report.Outcome = AttackOutcome::Succeeded;
-      Report.Detail =
-          formatString("gadget write landed on attempt %u", Attempt + 1);
-      return Report;
-    }
-    if (!R.ok())
-      LastTrap = R.Trap;
-  }
-  if (LastTrap != TrapKind::None) {
-    Report.Outcome = AttackOutcome::StoppedByTrap;
-    Report.Trap = LastTrap;
-    Report.Detail = std::string("stopped: ") + trapKindName(LastTrap);
-  } else {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.Detail = "frames ran clean without the gadget effect";
-  }
-  return Report;
+    return Exploit{{Frame.bytes()}, returns(WiresharkTarget)};
+  };
+  return runCampaign(M, Deployed, Config.Rng, Caller, Config.Budget, Lower);
 }

@@ -36,7 +36,8 @@ struct AttackReport {
   AttackOutcome Outcome = AttackOutcome::MissedTarget;
   /// Trap that ended the decisive attempt (None unless StoppedByTrap).
   TrapKind Trap = TrapKind::None;
-  /// Attempts consumed (1 for single-shot attacks).
+  /// Exploit runs consumed (1 for single-shot attacks; 0 when the disclosed
+  /// layout offered no reachable target, so no exploit ran).
   unsigned AttemptsUsed = 0;
   /// Human-readable detail for experiment logs.
   std::string Detail;

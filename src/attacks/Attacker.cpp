@@ -8,6 +8,7 @@
 
 #include "rng/Pseudo.h"
 #include "support/ErrorHandling.h"
+#include "support/Format.h"
 
 #include <cassert>
 #include <cstring>
@@ -68,4 +69,63 @@ uint64_t smokestack::predictPseudoDraw(const uint8_t DisclosedState[16],
   for (unsigned I = 0; I != Draws; ++I)
     Value = PseudoRandomSource::stepState(State);
   return Value;
+}
+
+LayoutOracle smokestack::probeLayout(Module &M,
+                                     const DeployedDefense &Deployed,
+                                     RandomSource *Rng,
+                                     const std::string &EntryFunc) {
+  LayoutOracle Oracle(/*KeepFirst=*/true);
+  Interpreter ProbeVM(M, Rng, Deployed.InterpOpts);
+  ProbeVM.setLayoutObserver(&Oracle);
+  ProbeVM.run(EntryFunc);
+  return Oracle;
+}
+
+SuccessTest smokestack::returns(uint64_t Value) {
+  return [Value](uint64_t ReturnValue, const std::string &) {
+    return ReturnValue == Value;
+  };
+}
+
+AttackReport smokestack::runCampaign(Module &M,
+                                     const DeployedDefense &Deployed,
+                                     RandomSource *Rng,
+                                     const std::string &EntryFunc,
+                                     unsigned Budget,
+                                     const ExploitLowering &Lower) {
+  AttackReport Report;
+  std::optional<Exploit> E = Lower(probeLayout(M, Deployed, Rng, EntryFunc));
+  if (!E) {
+    Report.Detail = "disclosed layout offers no reachable targets";
+    return Report;
+  }
+
+  TrapKind LastTrap = TrapKind::None;
+  for (unsigned Attempt = 1; Attempt <= Budget; ++Attempt) {
+    Report.AttemptsUsed = Attempt;
+    Interpreter VM(M, Rng, Deployed.InterpOpts);
+    for (const std::vector<uint8_t> &Record : E->Records)
+      VM.pushInput(Record);
+    ExecResult R = VM.run(EntryFunc);
+    if (R.ok() && E->Landed(R.ReturnValue, VM.output())) {
+      Report.Outcome = AttackOutcome::Succeeded;
+      Report.Detail = formatString("attempt %u achieved the attack's effect",
+                                   Attempt);
+      return Report;
+    }
+    if (!R.ok())
+      LastTrap = R.Trap;
+  }
+
+  if (LastTrap != TrapKind::None) {
+    Report.Outcome = AttackOutcome::StoppedByTrap;
+    Report.Trap = LastTrap;
+    Report.Detail = formatString("all %u attempts failed; last trap: %s",
+                                 Budget, trapKindName(LastTrap));
+  } else {
+    Report.Detail =
+        formatString("all %u attempts ran clean without the effect", Budget);
+  }
+  return Report;
 }

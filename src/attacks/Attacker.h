@@ -18,6 +18,11 @@
 ///    preserving the bytes in between.
 ///  - predictPseudoDraws: replays a disclosed in-memory PRNG state to
 ///    anticipate future permutation indices (why `pseudo` is unsafe).
+///  - runCampaign: the threat model's attacker policy (Section V-C) — one
+///    disclosure probe of the deployed binary, one lowering of the exploit
+///    against the disclosed layout, then a bounded number of exploit
+///    attempts against fresh executions. Every attack driver is a victim
+///    builder plus a lowering handed to this one runner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +30,12 @@
 #define SMOKESTACK_ATTACKS_ATTACKER_H
 
 #include "attacks/AttackReport.h"
+#include "defenses/Deploy.h"
 #include "vm/Interpreter.h"
 
+#include <functional>
 #include <map>
+#include <optional>
 
 namespace smokestack {
 
@@ -103,6 +111,46 @@ private:
 /// disclosed 16-byte state snapshot, returning the final draw. This is the
 /// Kelsey-style state-compromise attack on memory-resident PRNGs.
 uint64_t predictPseudoDraw(const uint8_t DisclosedState[16], unsigned Draws);
+
+/// One benign run of \p EntryFunc over the deployed module with a
+/// first-placement oracle attached: the attacker's disclosure probe. For a
+/// statically randomized build this fully de-randomizes it; for a
+/// Smokestack build it discloses one invocation's (stale) layout.
+LayoutOracle probeLayout(Module &M, const DeployedDefense &Deployed,
+                         RandomSource *Rng, const std::string &EntryFunc);
+
+/// Decides, from a clean run's return value and printed output, whether an
+/// exploit attempt achieved the attacker's effect.
+using SuccessTest =
+    std::function<bool(uint64_t ReturnValue, const std::string &Output)>;
+
+/// Success test for exploits whose effect is the entry function returning
+/// \p Value.
+SuccessTest returns(uint64_t Value);
+
+/// An exploit lowered against one disclosed layout.
+struct Exploit {
+  /// Input records every attempt feeds the victim, in the order its
+  /// get_input calls consume them.
+  std::vector<std::vector<uint8_t>> Records;
+  SuccessTest Landed;
+};
+
+/// Compiles the exploit against the probe's disclosed layout; nullopt when
+/// the layout offers no reachable target (a defense win without a run).
+using ExploitLowering =
+    std::function<std::optional<Exploit>(const LayoutOracle &)>;
+
+/// The probe-then-exploit campaign: probeLayout once, \p Lower once, then up
+/// to \p Budget fresh executions of \p EntryFunc fed the exploit's records.
+/// The probe draws from \p Rng first and each attempt after it; lowering
+/// draws nothing. Succeeded on the first attempt that lands; otherwise
+/// StoppedByTrap carrying the most recent trap if any attempt trapped,
+/// else MissedTarget. AttemptsUsed counts exploit runs, so a layout that
+/// does not lower reports MissedTarget with AttemptsUsed == 0.
+AttackReport runCampaign(Module &M, const DeployedDefense &Deployed,
+                         RandomSource *Rng, const std::string &EntryFunc,
+                         unsigned Budget, const ExploitLowering &Lower);
 
 } // namespace smokestack
 

@@ -6,14 +6,12 @@
 
 #include "attacks/Scenarios.h"
 
-#include "attacks/Attacker.h"
 #include "ir/IRBuilder.h"
 #include "rng/Pseudo.h"
 #include "support/ErrorHandling.h"
 #include "support/Format.h"
 
 #include <cstring>
-#include <optional>
 
 using namespace smokestack;
 
@@ -98,6 +96,49 @@ void buildDirectScenario(Module &M) {
   B.ret(B.load(B.i64(), Acc));
 }
 
+/// driver()'s locals in the indirect scenarios: the two words the attack
+/// must overwrite, among filler locals so a per-invocation permutation has
+/// real entropy.
+struct EscalationTargets {
+  AllocaInst *Secret;
+  AllocaInst *Check;
+  /// Extra i64 local declared after the filler (null unless requested).
+  AllocaInst *Scratch;
+};
+
+/// Declares and zeroes the targets and filler at B's insertion point.
+EscalationTargets declareTargets(IRBuilder &B,
+                                 const char *ScratchName = nullptr) {
+  AllocaInst *Secret = B.alloca_(B.i64(), "secret");
+  AllocaInst *Check = B.alloca_(B.i64(), "check");
+  AllocaInst *F1 = B.alloca_(B.getContext().getArrayTy(B.i8(), 24), "f1");
+  AllocaInst *F2 = B.alloca_(B.i32(), "f2");
+  AllocaInst *F3 = B.alloca_(B.i64(), "f3");
+  AllocaInst *F4 = B.alloca_(B.getContext().getArrayTy(B.i8(), 16), "f4");
+  AllocaInst *F5 = B.alloca_(B.i16(), "f5");
+  AllocaInst *Scratch =
+      ScratchName ? B.alloca_(B.i64(), ScratchName) : nullptr;
+  B.store(B.constI64(0), Secret);
+  B.store(B.constI64(0), Check);
+  B.store(B.constI8(0), F1);
+  B.store(B.constI32(0), F2);
+  B.store(B.constI64(0), F3);
+  B.store(B.constI8(0), F4);
+  B.store(B.constInt(B.i16(), 0), F5);
+  return {Secret, Check, Scratch};
+}
+
+/// Returns 1 from driver() iff the program's write-throughs planted both
+/// secret=1 and check=IndirectMagic (the privilege escalation).
+void returnEscalated(IRBuilder &B, const EscalationTargets &Targets) {
+  Value *GotSecret = B.icmp(ICmpInst::Predicate::EQ,
+                            B.load(B.i64(), Targets.Secret), B.constI64(1));
+  Value *GotCheck =
+      B.icmp(ICmpInst::Predicate::EQ, B.load(B.i64(), Targets.Check),
+             B.constI64(IndirectMagic));
+  B.ret(B.zext(B.i64(), B.and_(GotSecret, GotCheck)));
+}
+
 /// Stack-region indirect scenario: the overflow corrupts two pointer cells
 /// adjacent to the buffer in vuln_ind's frame; the program then stores
 /// through them, letting a precise attacker write (1, MAGIC) into driver's
@@ -132,28 +173,9 @@ void buildIndirectStackScenario(Module &M) {
 
   Function *Driver = M.createFunction("driver", B.i64(), {});
   B.setInsertPoint(Driver->createBlock("entry"));
-  // Several locals so a per-invocation permutation has real entropy.
-  AllocaInst *Secret = B.alloca_(B.i64(), "secret");
-  AllocaInst *Check = B.alloca_(B.i64(), "check");
-  AllocaInst *F1 = B.alloca_(B.getContext().getArrayTy(B.i8(), 24), "f1");
-  AllocaInst *F2 = B.alloca_(B.i32(), "f2");
-  AllocaInst *F3 = B.alloca_(B.i64(), "f3");
-  AllocaInst *F4 = B.alloca_(B.getContext().getArrayTy(B.i8(), 16), "f4");
-  AllocaInst *F5 = B.alloca_(B.i16(), "f5");
-  B.store(B.constI64(0), Secret);
-  B.store(B.constI64(0), Check);
-  B.store(B.constI8(0), F1);
-  B.store(B.constI32(0), F2);
-  B.store(B.constI64(0), F3);
-  B.store(B.constI8(0), F4);
-  B.store(B.constInt(B.i16(), 0), F5);
+  EscalationTargets Targets = declareTargets(B);
   B.call(Vuln, {});
-  Value *GotSecret = B.icmp(ICmpInst::Predicate::EQ,
-                            B.load(B.i64(), Secret), B.constI64(1));
-  Value *GotCheck = B.icmp(ICmpInst::Predicate::EQ, B.load(B.i64(), Check),
-                           B.constI64(IndirectMagic));
-  Value *Both = B.and_(GotSecret, GotCheck);
-  B.ret(B.zext(B.i64(), Both));
+  returnEscalated(B, Targets);
 }
 
 /// Global-region variant: buffer and pointer cells are module globals; the
@@ -171,20 +193,7 @@ void buildIndirectGlobalScenario(Module &M) {
 
   Function *Driver = M.createFunction("driver", B.i64(), {});
   B.setInsertPoint(Driver->createBlock("entry"));
-  AllocaInst *Secret = B.alloca_(B.i64(), "secret");
-  AllocaInst *Check = B.alloca_(B.i64(), "check");
-  AllocaInst *F1 = B.alloca_(B.getContext().getArrayTy(B.i8(), 24), "f1");
-  AllocaInst *F2 = B.alloca_(B.i32(), "f2");
-  AllocaInst *F3 = B.alloca_(B.i64(), "f3");
-  AllocaInst *F4 = B.alloca_(B.getContext().getArrayTy(B.i8(), 16), "f4");
-  AllocaInst *F5 = B.alloca_(B.i16(), "f5");
-  B.store(B.constI64(0), Secret);
-  B.store(B.constI64(0), Check);
-  B.store(B.constI8(0), F1);
-  B.store(B.constI32(0), F2);
-  B.store(B.constI64(0), F3);
-  B.store(B.constI8(0), F4);
-  B.store(B.constInt(B.i16(), 0), F5);
+  EscalationTargets Targets = declareTargets(B);
 
   Value *ScratchAddr =
       B.cast_(CastInst::CastOp::PtrToInt, B.i64(), GScratch);
@@ -198,11 +207,7 @@ void buildIndirectGlobalScenario(Module &M) {
                      B.load(B.i64(), GQCell));
   B.store(B.constI64(IndirectMagic), Q);
 
-  Value *GotSecret = B.icmp(ICmpInst::Predicate::EQ,
-                            B.load(B.i64(), Secret), B.constI64(1));
-  Value *GotCheck = B.icmp(ICmpInst::Predicate::EQ, B.load(B.i64(), Check),
-                           B.constI64(IndirectMagic));
-  B.ret(B.zext(B.i64(), B.and_(GotSecret, GotCheck)));
+  returnEscalated(B, Targets);
 }
 
 /// Heap-region variant: bump-adjacent malloc'd buffer and pointer cells.
@@ -214,26 +219,12 @@ void buildIndirectHeapScenario(Module &M) {
 
   Function *Driver = M.createFunction("driver", B.i64(), {});
   B.setInsertPoint(Driver->createBlock("entry"));
-  AllocaInst *Secret = B.alloca_(B.i64(), "secret");
-  AllocaInst *Check = B.alloca_(B.i64(), "check");
-  AllocaInst *F1 = B.alloca_(B.getContext().getArrayTy(B.i8(), 24), "f1");
-  AllocaInst *F2 = B.alloca_(B.i32(), "f2");
-  AllocaInst *F3 = B.alloca_(B.i64(), "f3");
-  AllocaInst *F4 = B.alloca_(B.getContext().getArrayTy(B.i8(), 16), "f4");
-  AllocaInst *F5 = B.alloca_(B.i16(), "f5");
-  AllocaInst *ScratchL = B.alloca_(B.i64(), "hscratch");
-  B.store(B.constI64(0), Secret);
-  B.store(B.constI64(0), Check);
-  B.store(B.constI8(0), F1);
-  B.store(B.constI32(0), F2);
-  B.store(B.constI64(0), F3);
-  B.store(B.constI8(0), F4);
-  B.store(B.constInt(B.i16(), 0), F5);
+  EscalationTargets Targets = declareTargets(B, /*ScratchName=*/"hscratch");
 
   Value *HBuf = B.call(Malloc, {B.constI64(64)}, "hbuf");
   Value *HCells = B.call(Malloc, {B.constI64(16)}, "hcells");
   Value *ScratchAddr =
-      B.cast_(CastInst::CastOp::PtrToInt, B.i64(), ScratchL);
+      B.cast_(CastInst::CastOp::PtrToInt, B.i64(), Targets.Scratch);
   B.store(ScratchAddr, HCells);
   B.store(ScratchAddr, B.gepConst(HCells, 8));
   B.call(GetInput, {HBuf});
@@ -244,99 +235,12 @@ void buildIndirectHeapScenario(Module &M) {
                      B.load(B.i64(), B.gepConst(HCells, 8)));
   B.store(B.constI64(IndirectMagic), Q);
 
-  Value *GotSecret = B.icmp(ICmpInst::Predicate::EQ,
-                            B.load(B.i64(), Secret), B.constI64(1));
-  Value *GotCheck = B.icmp(ICmpInst::Predicate::EQ, B.load(B.i64(), Check),
-                           B.constI64(IndirectMagic));
-  B.ret(B.zext(B.i64(), B.and_(GotSecret, GotCheck)));
+  returnEscalated(B, Targets);
 }
 
 //===----------------------------------------------------------------------===//
-// Campaign machinery
+// Exploit lowerings
 //===----------------------------------------------------------------------===//
-
-/// Probes the deployed module once (benign run with the oracle attached),
-/// then runs up to Budget exploit attempts, each a fresh execution with the
-/// payload built from the disclosed layout.
-AttackReport runCampaign(Module &M, const DeployedDefense &Deployed,
-                         RandomSource *Rng, const std::string &EntryFunc,
-                         unsigned Budget,
-                         std::optional<Payload> (*BuildPayload)(
-                             const LayoutOracle &),
-                         uint64_t SuccessValue) {
-  AttackReport Report;
-
-  LayoutOracle Oracle(/*KeepFirst=*/true);
-  {
-    Interpreter ProbeVM(M, Rng, Deployed.InterpOpts);
-    ProbeVM.setLayoutObserver(&Oracle);
-    ProbeVM.run(EntryFunc);
-  }
-
-  TrapKind LastTrap = TrapKind::None;
-  for (unsigned Attempt = 0; Attempt != Budget; ++Attempt) {
-    Report.AttemptsUsed = Attempt + 1;
-    std::optional<Payload> P = BuildPayload(Oracle);
-    if (!P) {
-      Report.Outcome = AttackOutcome::MissedTarget;
-      Report.Detail = "disclosed layout offers no reachable targets";
-      return Report;
-    }
-    Interpreter VM(M, Rng, Deployed.InterpOpts);
-    VM.pushInput(P->bytes());
-    ExecResult R = VM.run(EntryFunc);
-    if (R.ok() && R.ReturnValue == SuccessValue) {
-      Report.Outcome = AttackOutcome::Succeeded;
-      Report.Detail = formatString("attempt %u achieved the DOP effect",
-                                   Attempt + 1);
-      return Report;
-    }
-    if (!R.ok())
-      LastTrap = R.Trap;
-  }
-
-  if (LastTrap != TrapKind::None) {
-    Report.Outcome = AttackOutcome::StoppedByTrap;
-    Report.Trap = LastTrap;
-    Report.Detail = formatString("all %u attempts failed; last trap: %s",
-                                 Budget, trapKindName(LastTrap));
-  } else {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.Detail =
-        formatString("all %u attempts ran clean without the effect", Budget);
-  }
-  return Report;
-}
-
-/// Direct-attack payload: sweep from vuln's buff up into driver's frame,
-/// planting acc=target, op=set-gadget, ctr=7 (making this the dispatcher's
-/// final round).
-std::optional<Payload> buildDirectPayload(const LayoutOracle &Oracle) {
-  for (const char *Var : {"ctr", "op", "step", "acc"})
-    if (!Oracle.knows("driver", Var))
-      return std::nullopt;
-  if (!Oracle.knows("vuln", "buff"))
-    return std::nullopt;
-  // Cross-frame distances from the overflowed buffer to the caller's
-  // locals, exactly what the disclosure gave the attacker.
-  auto Delta = [&](const char *Var) {
-    return static_cast<int64_t>(Oracle.addressOf("driver", Var)) -
-           static_cast<int64_t>(Oracle.addressOf("vuln", "buff"));
-  };
-  int64_t DCtr = Delta("ctr");
-  int64_t DOp = Delta("op");
-  int64_t DStep = Delta("step");
-  int64_t DAcc = Delta("acc");
-  if (DCtr <= 0 || DOp <= 0 || DStep <= 0 || DAcc <= 0)
-    return std::nullopt; // a target below the buffer is unreachable
-
-  Payload P(0);
-  P.pokeInt(static_cast<size_t>(DAcc), DirectDopTarget);
-  P.pokeInt(static_cast<size_t>(DStep), 1);
-  P.pokeInt(static_cast<size_t>(DOp), 5); // 'set step' gadget: no acc effect
-  P.pokeInt(static_cast<size_t>(DCtr), 7); // ++ -> 8 ends the dispatcher
-  return P;
-}
 
 /// Indirect payloads: 64 filler bytes then the two pointer-cell values.
 std::optional<Payload> buildIndirectStackPayload(const LayoutOracle &Oracle) {
@@ -370,6 +274,60 @@ std::optional<Payload> buildIndirectDataPayload(const LayoutOracle &Oracle) {
   return P;
 }
 
+/// Builds the one overflow record a scenario exploit feeds its victim.
+using PayloadBuilder = std::optional<Payload> (*)(const LayoutOracle &);
+
+/// Builds \p Region's indirect scenario into \p M and returns the payload
+/// builder that targets it.
+PayloadBuilder buildIndirectScenario(Module &M, BufferRegion Region) {
+  switch (Region) {
+  case BufferRegion::Stack:
+    buildIndirectStackScenario(M);
+    return buildIndirectStackPayload;
+  case BufferRegion::Global:
+    buildIndirectGlobalScenario(M);
+    return buildIndirectDataPayload;
+  case BufferRegion::Heap:
+    buildIndirectHeapScenario(M);
+    return buildIndirectDataPayload;
+  }
+  smokestack_unreachable("unknown buffer region");
+}
+
+/// The single-record exploit \p Build lowers, landing when driver returns
+/// \p SuccessValue.
+ExploitLowering singleRecord(PayloadBuilder Build, uint64_t SuccessValue) {
+  return [Build, SuccessValue](
+             const LayoutOracle &Oracle) -> std::optional<Exploit> {
+    std::optional<Payload> P = Build(Oracle);
+    if (!P)
+      return std::nullopt;
+    return Exploit{{P->bytes()}, returns(SuccessValue)};
+  };
+}
+
+/// Residual success rate under Smokestack: one probe, then \p Trials fresh
+/// runs of the payload built from it, counting every landing (a rate, not
+/// a campaign, so it does not stop at the first success).
+unsigned countSuccesses(Module &M, uint64_t Seed, unsigned Trials,
+                        PayloadBuilder Build, uint64_t SuccessValue) {
+  DeployedDefense Deployed = deployDefense(M, DefenseKind::Smokestack, Seed);
+  DeterministicEntropySource Entropy(Seed);
+  PseudoRandomSource Rng(Entropy); // speed; security is irrelevant here
+  std::optional<Payload> P = Build(probeLayout(M, Deployed, &Rng, "driver"));
+  if (!P)
+    return 0;
+  unsigned Successes = 0;
+  for (unsigned Trial = 0; Trial != Trials; ++Trial) {
+    Interpreter VM(M, &Rng, Deployed.InterpOpts);
+    VM.pushInput(P->bytes());
+    ExecResult R = VM.run("driver");
+    if (R.ok() && R.ReturnValue == SuccessValue)
+      ++Successes;
+  }
+  return Successes;
+}
+
 } // namespace
 
 const char *smokestack::bufferRegionName(BufferRegion Region) {
@@ -384,34 +342,50 @@ const char *smokestack::bufferRegionName(BufferRegion Region) {
   smokestack_unreachable("unknown buffer region");
 }
 
+std::optional<Payload>
+smokestack::buildDirectPayload(const LayoutOracle &Oracle) {
+  for (const char *Var : {"ctr", "op", "step", "acc"})
+    if (!Oracle.knows("driver", Var))
+      return std::nullopt;
+  if (!Oracle.knows("vuln", "buff"))
+    return std::nullopt;
+  // Cross-frame distances from the overflowed buffer to the caller's
+  // locals, exactly what the disclosure gave the attacker.
+  auto Delta = [&](const char *Var) {
+    return static_cast<int64_t>(Oracle.addressOf("driver", Var)) -
+           static_cast<int64_t>(Oracle.addressOf("vuln", "buff"));
+  };
+  int64_t DCtr = Delta("ctr");
+  int64_t DOp = Delta("op");
+  int64_t DStep = Delta("step");
+  int64_t DAcc = Delta("acc");
+  if (DCtr <= 0 || DOp <= 0 || DStep <= 0 || DAcc <= 0)
+    return std::nullopt; // a target below the buffer is unreachable
+
+  Payload P(0);
+  P.pokeInt(static_cast<size_t>(DAcc), DirectDopTarget);
+  P.pokeInt(static_cast<size_t>(DStep), 1);
+  P.pokeInt(static_cast<size_t>(DOp), 5); // 'set step' gadget: no acc effect
+  P.pokeInt(static_cast<size_t>(DCtr), 7); // ++ -> 8 ends the dispatcher
+  return P;
+}
+
 AttackReport smokestack::runDirectDopAttack(const ScenarioConfig &Config) {
   Module M("direct-dop");
   buildDirectScenario(M);
   DeployedDefense Deployed = deployDefense(M, Config.Defense, Config.BuildSeed);
   return runCampaign(M, Deployed, Config.Rng, "driver", Config.Budget,
-                     buildDirectPayload, DirectDopTarget);
+                     singleRecord(buildDirectPayload, DirectDopTarget));
 }
 
 AttackReport
 smokestack::runIndirectPointerAttack(BufferRegion Region,
                                      const ScenarioConfig &Config) {
   Module M("indirect-dop");
-  switch (Region) {
-  case BufferRegion::Stack:
-    buildIndirectStackScenario(M);
-    break;
-  case BufferRegion::Global:
-    buildIndirectGlobalScenario(M);
-    break;
-  case BufferRegion::Heap:
-    buildIndirectHeapScenario(M);
-    break;
-  }
+  PayloadBuilder Build = buildIndirectScenario(M, Region);
   DeployedDefense Deployed = deployDefense(M, Config.Defense, Config.BuildSeed);
-  auto *Builder = Region == BufferRegion::Stack ? buildIndirectStackPayload
-                                                : buildIndirectDataPayload;
   return runCampaign(M, Deployed, Config.Rng, "driver", Config.Budget,
-                     Builder, /*SuccessValue=*/1);
+                     singleRecord(Build, /*SuccessValue=*/1));
 }
 
 AttackReport smokestack::runPseudoPredictionAttack(uint64_t Seed,
@@ -438,12 +412,7 @@ AttackReport smokestack::runPseudoPredictionAttack(uint64_t Seed,
     DeterministicEntropySource SimEntropy(0xdead);
     PseudoRandomSource Clone(SimEntropy);
     std::memcpy(Clone.mutableDisclosableState().data(), Stolen, 16);
-    LayoutOracle Oracle(/*KeepFirst=*/true);
-    {
-      Interpreter SimVM(M, &Clone, Deployed.InterpOpts);
-      SimVM.setLayoutObserver(&Oracle);
-      SimVM.run("driver");
-    }
+    LayoutOracle Oracle = probeLayout(M, Deployed, &Clone, "driver");
 
     // Step 3: the victim's next run uses exactly the predicted layouts for
     // the frames the payload targets (they are drawn before any input is
@@ -497,67 +466,13 @@ unsigned smokestack::countIndirectAttackSuccesses(BufferRegion Region,
                                                   unsigned Trials,
                                                   uint64_t Seed) {
   Module M("indirect-dop");
-  switch (Region) {
-  case BufferRegion::Stack:
-    buildIndirectStackScenario(M);
-    break;
-  case BufferRegion::Global:
-    buildIndirectGlobalScenario(M);
-    break;
-  case BufferRegion::Heap:
-    buildIndirectHeapScenario(M);
-    break;
-  }
-  DeployedDefense Deployed = deployDefense(M, DefenseKind::Smokestack, Seed);
-  DeterministicEntropySource Entropy(Seed);
-  PseudoRandomSource Rng(Entropy);
-
-  LayoutOracle Oracle(/*KeepFirst=*/true);
-  {
-    Interpreter ProbeVM(M, &Rng, Deployed.InterpOpts);
-    ProbeVM.setLayoutObserver(&Oracle);
-    ProbeVM.run("driver");
-  }
-  auto *Builder = Region == BufferRegion::Stack ? buildIndirectStackPayload
-                                                : buildIndirectDataPayload;
-  std::optional<Payload> P = Builder(Oracle);
-  if (!P)
-    return 0;
-  unsigned Successes = 0;
-  for (unsigned Trial = 0; Trial != Trials; ++Trial) {
-    Interpreter VM(M, &Rng, Deployed.InterpOpts);
-    VM.pushInput(P->bytes());
-    ExecResult R = VM.run("driver");
-    if (R.ok() && R.ReturnValue == 1)
-      ++Successes;
-  }
-  return Successes;
+  PayloadBuilder Build = buildIndirectScenario(M, Region);
+  return countSuccesses(M, Seed, Trials, Build, /*SuccessValue=*/1);
 }
 
 unsigned smokestack::countDirectAttackSuccesses(unsigned Trials,
                                                 uint64_t Seed) {
   Module M("direct-dop");
   buildDirectScenario(M);
-  DeployedDefense Deployed = deployDefense(M, DefenseKind::Smokestack, Seed);
-  DeterministicEntropySource Entropy(Seed);
-  PseudoRandomSource Rng(Entropy); // speed; security is irrelevant here
-
-  LayoutOracle Oracle(/*KeepFirst=*/true);
-  {
-    Interpreter ProbeVM(M, &Rng, Deployed.InterpOpts);
-    ProbeVM.setLayoutObserver(&Oracle);
-    ProbeVM.run("driver");
-  }
-  std::optional<Payload> P = buildDirectPayload(Oracle);
-  if (!P)
-    return 0;
-  unsigned Successes = 0;
-  for (unsigned Trial = 0; Trial != Trials; ++Trial) {
-    Interpreter VM(M, &Rng, Deployed.InterpOpts);
-    VM.pushInput(P->bytes());
-    ExecResult R = VM.run("driver");
-    if (R.ok() && R.ReturnValue == DirectDopTarget)
-      ++Successes;
-  }
-  return Successes;
+  return countSuccesses(M, Seed, Trials, buildDirectPayload, DirectDopTarget);
 }

@@ -22,8 +22,7 @@
 #ifndef SMOKESTACK_ATTACKS_SCENARIOS_H
 #define SMOKESTACK_ATTACKS_SCENARIOS_H
 
-#include "attacks/AttackReport.h"
-#include "defenses/Deploy.h"
+#include "attacks/Attacker.h"
 
 namespace smokestack {
 
@@ -49,6 +48,13 @@ struct ScenarioConfig {
 /// The value the direct-attack payload drives the victim to return; the
 /// attack counts as successful only if this exact DOP computation happens.
 inline constexpr uint64_t DirectDopTarget = 0xC0FFEE;
+
+/// The direct attack's overflow record against a disclosed Listing-1
+/// layout: a sweep from vuln's `buff` up into driver's frame planting
+/// acc=DirectDopTarget, op=5 (the set-step gadget, so acc is untouched) and
+/// ctr=7 (making this the dispatcher's final round). nullopt when the
+/// layout was not disclosed or puts a target below the buffer.
+std::optional<Payload> buildDirectPayload(const LayoutOracle &Oracle);
 
 /// Paper-Listing-1 shape: a dispatcher loop in `driver` whose operands
 /// (acc/step), opcode (op), and loop counter (ctr) are corrupted by a

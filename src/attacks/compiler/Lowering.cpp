@@ -133,48 +133,15 @@ AttackReport smokestack::runCompiledAttack(const AttackSpec &Spec,
   AesCtrRandomSource Rng(Entropy, /*NumRounds=*/10);
   RandomSource *RngPtr = Defense == DefenseKind::Smokestack ? &Rng : nullptr;
 
-  AttackReport Report;
-  LayoutOracle Oracle(/*KeepFirst=*/true);
-  {
-    Interpreter ProbeVM(M, RngPtr, Deployed.InterpOpts);
-    ProbeVM.setLayoutObserver(&Oracle);
-    ProbeVM.run("driver");
-  }
-
-  std::optional<LoweredAttack> Lowered = lowerAttack(Spec, Oracle);
-  if (!Lowered) {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.AttemptsUsed = 0;
-    Report.Detail = "spec does not lower against the disclosed layout";
-    return Report;
-  }
-
-  TrapKind LastTrap = TrapKind::None;
-  for (unsigned Attempt = 0; Attempt != Budget; ++Attempt) {
-    Report.AttemptsUsed = Attempt + 1;
-    Interpreter VM(M, RngPtr, Deployed.InterpOpts);
-    for (const Payload &Record : Lowered->Records)
-      VM.pushInput(Record.bytes());
-    ExecResult R = VM.run("driver");
-    if (R.ok() && R.ReturnValue == Lowered->SuccessValue) {
-      Report.Outcome = AttackOutcome::Succeeded;
-      Report.Detail =
-          formatString("attempt %u achieved the DOP effect", Attempt + 1);
-      return Report;
-    }
-    if (!R.ok())
-      LastTrap = R.Trap;
-  }
-
-  if (LastTrap != TrapKind::None) {
-    Report.Outcome = AttackOutcome::StoppedByTrap;
-    Report.Trap = LastTrap;
-    Report.Detail = formatString("all %u attempts failed; last trap: %s",
-                                 Budget, trapKindName(LastTrap));
-  } else {
-    Report.Outcome = AttackOutcome::MissedTarget;
-    Report.Detail =
-        formatString("all %u attempts ran clean without the effect", Budget);
-  }
-  return Report;
+  return runCampaign(
+      M, Deployed, RngPtr, "driver", Budget,
+      [&Spec](const LayoutOracle &Oracle) -> std::optional<Exploit> {
+        std::optional<LoweredAttack> L = lowerAttack(Spec, Oracle);
+        if (!L)
+          return std::nullopt;
+        Exploit E{{}, returns(L->SuccessValue)};
+        for (const Payload &Record : L->Records)
+          E.Records.push_back(Record.bytes());
+        return E;
+      });
 }

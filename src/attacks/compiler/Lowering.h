@@ -7,7 +7,8 @@
 /// \file
 /// The attacker side of the attack compiler: lowers an AttackSpec onto
 /// concrete overflow payload records against the frame layout a probe of
-/// the deployed binary disclosed, and runs the probe-then-exploit campaign.
+/// the deployed binary disclosed, and runs it through the shared
+/// probe-then-exploit campaign (runCampaign).
 ///
 /// Direct mode lowers the spec's gadget chain onto a *schedule* of records,
 /// one per dispatcher round: each sweep clobbers everything between the
@@ -47,9 +48,9 @@ std::optional<LoweredAttack> lowerAttack(const AttackSpec &Spec,
                                          const LayoutOracle &Oracle);
 
 /// Compiles and runs \p Spec against \p Defense: synthesize the victim,
-/// deploy the defense under Spec.BuildSeed, probe once with a layout
-/// oracle, lower, then run up to \p Budget exploit attempts against fresh
-/// executions. Smokestack deployments draw from an AES-CTR source seeded
+/// deploy the defense under Spec.BuildSeed, and hand lowerAttack to
+/// runCampaign (one probe, one lowering, up to \p Budget exploit attempts
+/// against fresh executions). Smokestack deployments draw from an AES-CTR source seeded
 /// from the corpus coordinates, so every cell replays bit-identically.
 AttackReport runCompiledAttack(const AttackSpec &Spec, DefenseKind Defense,
                                unsigned Budget);

@@ -6,15 +6,18 @@
 ///
 /// \file
 /// The attack compiler's contract: the seeded spec generator is pure,
-/// stratified, and collision-free at corpus scale; compiled attacks land
-/// against the undefended build on the first attempt and die under
-/// Smokestack; and every corpus cell replays bit-identically from its
-/// (RootSeed, SpecIndex, Defense) coordinates.
+/// stratified, and collision-free at corpus scale; the shared campaign
+/// runner applies the probe-then-exploit rules every driver relies on;
+/// compiled attacks land against the undefended build on the first attempt
+/// and die under Smokestack; and every corpus cell replays bit-identically
+/// from its (RootSeed, SpecIndex, Defense) coordinates.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "attacks/compiler/Corpus.h"
 #include "attacks/compiler/SpecGen.h"
+#include "ir/IRBuilder.h"
+#include "rng/RandomSource.h"
 
 #include <gtest/gtest.h>
 #include <set>
@@ -31,6 +34,65 @@ const DefenseTally &tallyFor(const AttackCorpusResult &Result,
   ADD_FAILURE() << "no tally for " << defenseKindName(Kind);
   static DefenseTally Empty;
   return Empty;
+}
+
+/// Counts draws, so a test can tell how many executions drew layouts.
+class CountingSource : public RandomSource {
+public:
+  uint64_t next() override { return 0x9E3779B97F4A7C15ULL * ++Draws; }
+  const char *name() const override { return "counting"; }
+  SecurityLevel securityLevel() const override { return SecurityLevel::None; }
+  uint64_t Draws = 0;
+};
+
+/// driver(): reads one record into `divisor` (initially 1) and returns
+/// 100 / divisor, so a zero record traps with DivisionByZero.
+void buildDivideVictim(Module &M) {
+  IRBuilder B(M);
+  Function *GetInput =
+      M.getOrInsertDeclaration("get_input", B.i64(), {B.ptr()});
+  Function *Driver = M.createFunction("driver", B.i64(), {});
+  B.setInsertPoint(Driver->createBlock("entry"));
+  AllocaInst *Divisor = B.alloca_(B.i64(), "divisor");
+  AllocaInst *Pad = B.alloca_(B.i64(), "pad");
+  B.store(B.constI64(1), Divisor);
+  B.store(B.constI64(0), Pad);
+  B.call(GetInput, {Divisor});
+  B.ret(B.sdiv(B.constI64(100), B.load(B.i64(), Divisor)));
+}
+
+/// Runs a campaign against the divide victim under Smokestack with a test
+/// lowering: no exploit when \p Record is nullopt, else one record holding
+/// *Record and a success test that holds on its \p LandsOn-th call (never
+/// when 0). Returns the report and, through \p Executions, the victim runs
+/// the campaign made, probe included, counted by their layout draws.
+AttackReport runTestCampaign(unsigned Budget, std::optional<uint64_t> Record,
+                             unsigned LandsOn, uint64_t &Executions) {
+  Module M("campaign-victim");
+  buildDivideVictim(M);
+  DeployedDefense Deployed = deployDefense(M, DefenseKind::Smokestack, 1);
+  CountingSource OneRun;
+  probeLayout(M, Deployed, &OneRun, "driver");
+  EXPECT_GT(OneRun.Draws, 0u) << "every execution must draw a layout";
+
+  unsigned Tests = 0;
+  auto Lower = [&](const LayoutOracle &Oracle) -> std::optional<Exploit> {
+    EXPECT_TRUE(Oracle.knows("driver", "divisor"))
+        << "lowering must see the probe's disclosure";
+    if (!Record)
+      return std::nullopt;
+    Payload P(0);
+    P.pokeInt(0, *Record);
+    return Exploit{{P.bytes()}, [&](uint64_t, const std::string &) {
+                     EXPECT_NE(*Record, 0u) << "a trapped run was tested";
+                     return ++Tests == LandsOn;
+                   }};
+  };
+  CountingSource Rng;
+  AttackReport Report = runCampaign(M, Deployed, &Rng, "driver", Budget, Lower);
+  EXPECT_EQ(Rng.Draws % OneRun.Draws, 0u);
+  Executions = Rng.Draws / OneRun.Draws;
+  return Report;
 }
 
 } // namespace
@@ -109,6 +171,40 @@ TEST(AttackCompilerTest, UndisclosedLayoutDoesNotLower) {
   LayoutOracle Blind;
   EXPECT_FALSE(lowerAttack(generateSpec(7, 0), Blind).has_value());
   EXPECT_FALSE(lowerAttack(generateSpec(7, 1), Blind).has_value());
+}
+
+TEST(AttackCompilerTest, CampaignRulesOnTestLowerings) {
+  // The shared runner's policy, independent of any real exploit. A zero
+  // record makes every attempt trap; AttemptsUsed counts exploit runs, and
+  // the probe is always the one extra execution.
+  struct Case {
+    const char *Name;
+    unsigned Budget;
+    std::optional<uint64_t> Record;
+    unsigned LandsOn;
+    AttackOutcome Outcome;
+    TrapKind Trap;
+    unsigned AttemptsUsed;
+  };
+  const Case Cases[] = {
+      {"unlowerable layout", 4, std::nullopt, 0, AttackOutcome::MissedTarget,
+       TrapKind::None, 0},
+      {"lands on attempt 3", 5, 4, 3, AttackOutcome::Succeeded, TrapKind::None,
+       3},
+      {"every attempt traps", 3, 0, 0, AttackOutcome::StoppedByTrap,
+       TrapKind::DivisionByZero, 3},
+      {"clean misses", 2, 4, 0, AttackOutcome::MissedTarget, TrapKind::None,
+       2},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    uint64_t Executions = 0;
+    AttackReport R = runTestCampaign(C.Budget, C.Record, C.LandsOn, Executions);
+    EXPECT_EQ(R.Outcome, C.Outcome) << R.Detail;
+    EXPECT_EQ(R.Trap, C.Trap);
+    EXPECT_EQ(R.AttemptsUsed, C.AttemptsUsed);
+    EXPECT_EQ(Executions, C.AttemptsUsed + 1u);
+  }
 }
 
 TEST(AttackCompilerTest, DirectAttackLandsUndefendedFirstTry) {
