@@ -30,6 +30,7 @@
 
 #include "attacks/compiler/Corpus.h"
 #include "attacks/compiler/SpecGen.h"
+#include "obs/JsonWriter.h"
 
 #include <chrono>
 #include <cinttypes>
@@ -71,40 +72,36 @@ int replayOneSpec(uint64_t RootSeed, uint32_t Index, unsigned Budget) {
 bool writeJson(const std::string &Path, const AttackCorpusResult &Result,
                bool RerunChecked, bool RerunIdentical, unsigned SpotChecks,
                double Seconds) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "attack_corpus: cannot write %s\n", Path.c_str());
-    return false;
+  JsonWriter W;
+  W.beginObject();
+  W.key("bench").str("attack_corpus");
+  W.key("root_seed").integer(Result.Options.RootSeed);
+  W.key("specs").integer(Result.Options.SpecCount);
+  W.key("budget").integer(Result.Options.Budget);
+  W.key("distinct_specs").integer(Result.DistinctSpecs);
+  W.key("digest").hex(Result.Digest);
+  W.key("rerun_checked").boolean(RerunChecked);
+  W.key("rerun_bit_identical").boolean(RerunIdentical);
+  W.key("replay_spot_checks").integer(SpotChecks);
+  W.key("defenses").beginArray();
+  for (const DefenseTally &T : Result.Tallies) {
+    W.beginObject(JsonWriter::Layout::Inline);
+    W.key("defense").str(defenseKindName(T.Defense));
+    W.key("attacks").integer(T.Attacks);
+    W.key("succeeded").integer(T.Succeeded);
+    W.key("stopped_by_trap").integer(T.StoppedByTrap);
+    W.key("missed").integer(T.Missed);
+    W.key("unlowerable").integer(T.Unlowerable);
+    W.key("defeat_rate").fixed(T.defeatRate(), 6);
+    W.endObject();
   }
-  std::fprintf(F, "{\n");
-  std::fprintf(F, "  \"bench\": \"attack_corpus\",\n");
-  std::fprintf(F, "  \"root_seed\": %" PRIu64 ",\n", Result.Options.RootSeed);
-  std::fprintf(F, "  \"specs\": %u,\n", Result.Options.SpecCount);
-  std::fprintf(F, "  \"budget\": %u,\n", Result.Options.Budget);
-  std::fprintf(F, "  \"distinct_specs\": %u,\n", Result.DistinctSpecs);
-  std::fprintf(F, "  \"digest\": \"0x%016" PRIx64 "\",\n", Result.Digest);
-  std::fprintf(F, "  \"rerun_checked\": %s,\n",
-               RerunChecked ? "true" : "false");
-  std::fprintf(F, "  \"rerun_bit_identical\": %s,\n",
-               RerunIdentical ? "true" : "false");
-  std::fprintf(F, "  \"replay_spot_checks\": %u,\n", SpotChecks);
-  std::fprintf(F, "  \"defenses\": [\n");
-  for (size_t I = 0; I != Result.Tallies.size(); ++I) {
-    const DefenseTally &T = Result.Tallies[I];
-    std::fprintf(F,
-                 "    {\"defense\": \"%s\", \"attacks\": %u, "
-                 "\"succeeded\": %u, \"stopped_by_trap\": %u, "
-                 "\"missed\": %u, \"unlowerable\": %u, "
-                 "\"defeat_rate\": %.6f}%s\n",
-                 defenseKindName(T.Defense), T.Attacks, T.Succeeded,
-                 T.StoppedByTrap, T.Missed, T.Unlowerable, T.defeatRate(),
-                 I + 1 != Result.Tallies.size() ? "," : "");
-  }
-  std::fprintf(F, "  ],\n");
-  std::fprintf(F, "  \"seconds\": %.4f\n", Seconds);
-  std::fprintf(F, "}\n");
-  std::fclose(F);
-  return true;
+  W.endArray();
+  W.key("seconds").fixed(Seconds, 4);
+  W.endObject();
+  if (W.writeFile(Path))
+    return true;
+  std::fprintf(stderr, "attack_corpus: cannot write %s\n", Path.c_str());
+  return false;
 }
 
 } // namespace

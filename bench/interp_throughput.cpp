@@ -31,6 +31,7 @@
 
 #include "ir/IRBuilder.h"
 #include "jit/JitAbi.h"
+#include "obs/JsonWriter.h"
 #include "obs/Trace.h"
 #include "vm/Interpreter.h"
 
@@ -424,13 +425,17 @@ int main(int argc, char **argv) {
               "tree Mst/s", "decoded Mst/s", "jit Mst/s", "speedup",
               "jit/dec");
 
-  std::string Json = "{\n  \"benchmark\": \"interp_throughput\",\n"
-                     "  \"reps\": " +
-                     std::to_string(Reps) + ",\n  \"kernels\": [\n";
-  std::string JitJson =
-      std::string("{\n  \"benchmark\": \"interp_jit\",\n") +
-      "  \"jit_available\": " + (jitAvailable() ? "true" : "false") +
-      ",\n  \"reps\": " + std::to_string(Reps) + ",\n  \"kernels\": [\n";
+  using Layout = JsonWriter::Layout;
+  JsonWriter Json, JitJson;
+  Json.beginObject();
+  Json.key("benchmark").str("interp_throughput");
+  Json.key("reps").integer(Reps);
+  Json.key("kernels").beginArray();
+  JitJson.beginObject();
+  JitJson.key("benchmark").str("interp_jit");
+  JitJson.key("jit_available").boolean(jitAvailable());
+  JitJson.key("reps").integer(Reps);
+  JitJson.key("kernels").beginArray();
   double MaxSpeedup = 0.0;
   double MinJitSpeedup = WantJit ? 1e300 : 0.0;
   bool DigestMismatch = false;
@@ -487,43 +492,33 @@ int main(int argc, char **argv) {
                 TreeRate / 1e6, DecodedRate / 1e6, JitRate / 1e6, Speedup,
                 JitSpeedup);
 
-    char Row[640];
-    std::snprintf(Row, sizeof(Row),
-                  "    {\"name\": \"%s\", \"steps\": %llu, "
-                  "\"treewalk_steps_per_sec\": %.0f, "
-                  "\"decoded_steps_per_sec\": %.0f, "
-                  "\"jit_steps_per_sec\": %.0f, \"speedup\": %.3f, "
-                  "\"jit_speedup_vs_decoded\": %.3f}%s\n",
-                  Spec.Name, static_cast<unsigned long long>(Decoded.Steps),
-                  TreeRate, DecodedRate, JitRate, Speedup, JitSpeedup,
-                  K + 1 == std::size(Kernels) ? "" : ",");
-    Json += Row;
+    Json.beginObject(Layout::Inline);
+    Json.key("name").str(Spec.Name);
+    Json.key("steps").integer(Decoded.Steps);
+    Json.key("treewalk_steps_per_sec").fixed(TreeRate, 0);
+    Json.key("decoded_steps_per_sec").fixed(DecodedRate, 0);
+    Json.key("jit_steps_per_sec").fixed(JitRate, 0);
+    Json.key("speedup").fixed(Speedup, 3);
+    Json.key("jit_speedup_vs_decoded").fixed(JitSpeedup, 3);
+    Json.endObject();
 
-    char JitRow[512];
-    std::snprintf(JitRow, sizeof(JitRow),
-                  "    {\"name\": \"%s\", "
-                  "\"digest_decoded\": \"%016llx\", "
-                  "\"digest_jit\": \"%016llx\", "
-                  "\"jit_speedup_vs_decoded\": %.3f}%s\n",
-                  Spec.Name,
-                  static_cast<unsigned long long>(Decoded.Digest),
-                  static_cast<unsigned long long>(WantJit ? Jit.Digest
-                                                          : Decoded.Digest),
-                  JitSpeedup, K + 1 == std::size(Kernels) ? "" : ",");
-    JitJson += JitRow;
+    JitJson.beginObject(Layout::Inline);
+    JitJson.key("name").str(Spec.Name);
+    JitJson.key("digest_decoded").hex(Decoded.Digest, /*Prefix=*/false);
+    JitJson.key("digest_jit")
+        .hex(WantJit ? Jit.Digest : Decoded.Digest, /*Prefix=*/false);
+    JitJson.key("jit_speedup_vs_decoded").fixed(JitSpeedup, 3);
+    JitJson.endObject();
   }
   // The JIT identity/throughput summary is written whenever the decoded
   // baseline was measured; on hosts without a JIT the digests are the
   // decoded ones and jit_available=false tells the gate to skip.
   if (WantDecoded) {
-    char JitTail[128];
-    std::snprintf(JitTail, sizeof(JitTail),
-                  "  ],\n  \"min_jit_speedup_vs_decoded\": %.3f\n}\n",
-                  WantJit ? MinJitSpeedup : 0.0);
-    JitJson += JitTail;
-    if (std::FILE *Out = std::fopen(JitJsonPath, "w")) {
-      std::fputs(JitJson.c_str(), Out);
-      std::fclose(Out);
+    JitJson.endArray();
+    JitJson.key("min_jit_speedup_vs_decoded")
+        .fixed(WantJit ? MinJitSpeedup : 0.0, 3);
+    JitJson.endObject();
+    if (JitJson.writeFile(JitJsonPath)) {
       std::printf("\nwrote %s\n", JitJsonPath);
     } else {
       std::fprintf(stderr, "cannot write %s\n", JitJsonPath);
@@ -573,22 +568,19 @@ int main(int argc, char **argv) {
               ObsRequests, DisabledRate, DisabledRerun, NoisePct, EnabledRate,
               OverheadPct);
 
-  char Tail[512];
-  std::snprintf(Tail, sizeof(Tail),
-                "  ],\n"
-                "  \"obs_overhead\": {\"requests_per_rep\": %d, "
-                "\"disabled_req_per_sec\": %.0f, "
-                "\"disabled_rerun_req_per_sec\": %.0f, "
-                "\"enabled_req_per_sec\": %.0f, "
-                "\"noise_pct\": %.2f, \"enabled_overhead_pct\": %.2f},\n"
-                "  \"max_speedup\": %.3f\n}\n",
-                ObsRequests, DisabledRate, DisabledRerun, EnabledRate,
-                NoisePct, OverheadPct, MaxSpeedup);
-  Json += Tail;
+  Json.endArray();
+  Json.key("obs_overhead").beginObject(Layout::Inline);
+  Json.key("requests_per_rep").integer(ObsRequests);
+  Json.key("disabled_req_per_sec").fixed(DisabledRate, 0);
+  Json.key("disabled_rerun_req_per_sec").fixed(DisabledRerun, 0);
+  Json.key("enabled_req_per_sec").fixed(EnabledRate, 0);
+  Json.key("noise_pct").fixed(NoisePct, 2);
+  Json.key("enabled_overhead_pct").fixed(OverheadPct, 2);
+  Json.endObject();
+  Json.key("max_speedup").fixed(MaxSpeedup, 3);
+  Json.endObject();
 
-  if (std::FILE *Out = std::fopen(JsonPath, "w")) {
-    std::fputs(Json.c_str(), Out);
-    std::fclose(Out);
+  if (Json.writeFile(JsonPath)) {
     std::printf("\nwrote %s\n", JsonPath);
   } else {
     std::fprintf(stderr, "cannot write %s\n", JsonPath);

@@ -27,6 +27,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRBuilder.h"
+#include "obs/JsonWriter.h"
 #include "vm/Interpreter.h"
 #include "vm/Snapshot.h"
 
@@ -35,7 +36,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 using namespace smokestack;
@@ -99,11 +99,13 @@ int main(int argc, char **argv) {
   std::printf("%12s %12s %12s %18s %14s\n", "touched", "scrub", "heap_reset",
               "snapshot_restore", "full_rebuild");
 
-  std::string Json = "{\n  \"bench\": \"request_reset\",\n  \"reps\": " +
-                     std::to_string(Reps) + ",\n  \"points\": [\n";
+  JsonWriter Json;
+  Json.beginObject();
+  Json.key("bench").str("request_reset");
+  Json.key("reps").integer(Reps);
+  Json.key("points").beginArray();
   double LastRestore = 0.0, LastRebuild = 0.0;
-  for (size_t K = 0; K != std::size(TouchedSizes); ++K) {
-    uint64_t N = TouchedSizes[K];
+  for (uint64_t N : TouchedSizes) {
 
     // Post-trap stack scrub: N dirty bytes at the top of the stack.
     uint64_t StackFrom = MemoryMap::StackTop - N;
@@ -145,16 +147,13 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(N >> 10), ScrubNs, HeapNs,
                 RestoreNs, RebuildNs);
 
-    char Row[512];
-    std::snprintf(Row, sizeof(Row),
-                  "    {\"touched_bytes\": %llu, \"scrub_nanos\": %.0f, "
-                  "\"heap_reset_nanos\": %.0f, "
-                  "\"snapshot_restore_nanos\": %.0f, "
-                  "\"full_rebuild_nanos\": %.0f}%s\n",
-                  static_cast<unsigned long long>(N), ScrubNs, HeapNs,
-                  RestoreNs, RebuildNs,
-                  K + 1 == std::size(TouchedSizes) ? "" : ",");
-    Json += Row;
+    Json.beginObject(JsonWriter::Layout::Inline);
+    Json.key("touched_bytes").integer(N);
+    Json.key("scrub_nanos").fixed(ScrubNs, 0);
+    Json.key("heap_reset_nanos").fixed(HeapNs, 0);
+    Json.key("snapshot_restore_nanos").fixed(RestoreNs, 0);
+    Json.key("full_rebuild_nanos").fixed(RebuildNs, 0);
+    Json.endObject();
   }
 
   // Headline ratio at the LARGEST touched size: the most conservative
@@ -163,14 +162,11 @@ int main(int argc, char **argv) {
   std::printf("\nsnapshot restore vs full rebuild at 1 MiB touched: %.1fx\n",
               Speedup);
 
-  char Tail[128];
-  std::snprintf(Tail, sizeof(Tail),
-                "  ],\n  \"restore_speedup_vs_rebuild\": %.3f\n}\n", Speedup);
-  Json += Tail;
+  Json.endArray();
+  Json.key("restore_speedup_vs_rebuild").fixed(Speedup, 3);
+  Json.endObject();
 
-  if (std::FILE *Out = std::fopen(JsonPath, "w")) {
-    std::fputs(Json.c_str(), Out);
-    std::fclose(Out);
+  if (Json.writeFile(JsonPath)) {
     std::printf("wrote %s\n", JsonPath);
   } else {
     std::fprintf(stderr, "cannot write %s\n", JsonPath);

@@ -7,10 +7,12 @@
 #include "obs/MetricsRegistry.h"
 
 #include "obs/Histogram.h"
+#include "obs/JsonWriter.h"
 #include "support/Format.h"
 #include "support/Statistics.h"
 
 #include <algorithm>
+#include <utility>
 
 using namespace smokestack;
 
@@ -24,27 +26,6 @@ std::string promName(const std::string &Name) {
   return Out;
 }
 
-/// Minimal JSON string escaping (names and help strings are ASCII).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
-}
-
-template <typename T, typename NameFn>
-std::vector<const T *> sortedByName(const std::vector<const T *> &In,
-                                    NameFn Name) {
-  std::vector<const T *> Out = In;
-  std::sort(Out.begin(), Out.end(), [&](const T *A, const T *B) {
-    return std::string(Name(A)) < std::string(Name(B));
-  });
-  return Out;
-}
-
 } // namespace
 
 void MetricsRegistry::addGauge(std::string Name, std::string Help,
@@ -54,39 +35,43 @@ void MetricsRegistry::addGauge(std::string Name, std::string Help,
 
 void MetricsRegistry::addHistogram(const Histogram *H) { Extra.push_back(H); }
 
+MetricsRegistry::Sorted MetricsRegistry::sorted() const {
+  Sorted S;
+  S.Gauges = Gauges;
+  S.Histograms = Extra;
+  if (IncludeGlobals) {
+    for (const Statistic *C : allStatistics())
+      S.Counters.push_back({C->name(), C->description(), C->value()});
+    S.Histograms.insert(S.Histograms.end(), allHistograms().begin(),
+                        allHistograms().end());
+  }
+  auto ByName = [](const Sample &A, const Sample &B) {
+    return A.Name < B.Name;
+  };
+  std::sort(S.Counters.begin(), S.Counters.end(), ByName);
+  std::sort(S.Gauges.begin(), S.Gauges.end(), ByName);
+  std::sort(S.Histograms.begin(), S.Histograms.end(),
+            [](const Histogram *A, const Histogram *B) {
+              return std::string(A->name()) < B->name();
+            });
+  return S;
+}
+
 std::string MetricsRegistry::exportText() const {
   std::string Out;
+  Sorted All = sorted();
 
-  std::vector<const Statistic *> Counters;
-  if (IncludeGlobals)
-    for (const Statistic *S : allStatistics())
-      Counters.push_back(S);
-  Counters = sortedByName(Counters,
-                          [](const Statistic *S) { return S->name(); });
-  for (const Statistic *S : Counters) {
-    std::string N = promName(S->name());
-    Out += formatString("# HELP %s %s\n", N.c_str(), S->description());
-    Out += formatString("# TYPE %s counter\n", N.c_str());
-    Out += formatString("%s %llu\n", N.c_str(),
-                        (unsigned long long)S->value());
-  }
+  for (const auto &[Type, Samples] :
+       {std::pair{"counter", &All.Counters}, {"gauge", &All.Gauges}})
+    for (const Sample &Item : *Samples) {
+      std::string N = promName(Item.Name);
+      Out += formatString("# HELP %s %s\n", N.c_str(), Item.Help.c_str());
+      Out += formatString("# TYPE %s %s\n", N.c_str(), Type);
+      Out += formatString("%s %llu\n", N.c_str(),
+                          (unsigned long long)Item.Value);
+    }
 
-  std::vector<Gauge> SortedGauges = Gauges;
-  std::sort(SortedGauges.begin(), SortedGauges.end(),
-            [](const Gauge &A, const Gauge &B) { return A.Name < B.Name; });
-  for (const Gauge &G : SortedGauges) {
-    std::string N = promName(G.Name);
-    Out += formatString("# HELP %s %s\n", N.c_str(), G.Help.c_str());
-    Out += formatString("# TYPE %s gauge\n", N.c_str());
-    Out += formatString("%s %llu\n", N.c_str(), (unsigned long long)G.Value);
-  }
-
-  std::vector<const Histogram *> Hists = Extra;
-  if (IncludeGlobals)
-    for (const Histogram *H : allHistograms())
-      Hists.push_back(H);
-  Hists = sortedByName(Hists, [](const Histogram *H) { return H->name(); });
-  for (const Histogram *H : Hists) {
+  for (const Histogram *H : All.Histograms) {
     Histogram::Snapshot S = H->snapshot();
     std::string N = promName(H->name());
     Out += formatString("# HELP %s %s\n", N.c_str(), H->description());
@@ -112,64 +97,49 @@ std::string MetricsRegistry::exportText() const {
   return Out;
 }
 
-std::string MetricsRegistry::exportJson() const {
-  std::string Out = "{\n  \"schema\": \"smokestack-metrics-v1\",\n";
+void MetricsRegistry::exportJson(JsonWriter &W) const {
+  using Layout = JsonWriter::Layout;
+  W.beginObject();
+  W.key("schema").str("smokestack-metrics-v1");
+  Sorted All = sorted();
 
-  std::vector<const Statistic *> Counters;
-  if (IncludeGlobals)
-    for (const Statistic *S : allStatistics())
-      Counters.push_back(S);
-  Counters = sortedByName(Counters,
-                          [](const Statistic *S) { return S->name(); });
-  Out += "  \"counters\": [";
-  for (size_t I = 0; I != Counters.size(); ++I)
-    Out += formatString(
-        "%s\n    {\"name\": \"%s\", \"value\": %llu}", I ? "," : "",
-        jsonEscape(Counters[I]->name()).c_str(),
-        (unsigned long long)Counters[I]->value());
-  Out += Counters.empty() ? "],\n" : "\n  ],\n";
-
-  std::vector<Gauge> SortedGauges = Gauges;
-  std::sort(SortedGauges.begin(), SortedGauges.end(),
-            [](const Gauge &A, const Gauge &B) { return A.Name < B.Name; });
-  Out += "  \"gauges\": [";
-  for (size_t I = 0; I != SortedGauges.size(); ++I)
-    Out += formatString(
-        "%s\n    {\"name\": \"%s\", \"value\": %llu}", I ? "," : "",
-        jsonEscape(SortedGauges[I].Name).c_str(),
-        (unsigned long long)SortedGauges[I].Value);
-  Out += SortedGauges.empty() ? "],\n" : "\n  ],\n";
-
-  std::vector<const Histogram *> Hists = Extra;
-  if (IncludeGlobals)
-    for (const Histogram *H : allHistograms())
-      Hists.push_back(H);
-  Hists = sortedByName(Hists, [](const Histogram *H) { return H->name(); });
-  Out += "  \"histograms\": [";
-  for (size_t I = 0; I != Hists.size(); ++I) {
-    const Histogram *H = Hists[I];
-    Histogram::Snapshot S = H->snapshot();
-    Out += formatString(
-        "%s\n    {\"name\": \"%s\", \"count\": %llu, \"sum\": %llu, "
-        "\"p50\": %llu, \"p95\": %llu, \"p99\": %llu, \"buckets\": [",
-        I ? "," : "", jsonEscape(H->name()).c_str(),
-        (unsigned long long)S.Count, (unsigned long long)S.Sum,
-        (unsigned long long)S.p50(), (unsigned long long)S.p95(),
-        (unsigned long long)S.p99());
-    bool First = true;
-    for (unsigned B = 0; B != Histogram::NumBuckets; ++B) {
-      if (S.Buckets[B] == 0)
-        continue;
-      Out += formatString(
-          "%s{\"le\": %llu, \"count\": %llu}", First ? "" : ", ",
-          (unsigned long long)Histogram::bucketUpperBound(B),
-          (unsigned long long)S.Buckets[B]);
-      First = false;
-    }
-    Out += "]}";
+  for (const auto &[Key, Samples] :
+       {std::pair{"counters", &All.Counters}, {"gauges", &All.Gauges}}) {
+    W.key(Key).beginArray();
+    for (const Sample &Item : *Samples)
+      W.beginObject(Layout::Inline)
+          .key("name").str(Item.Name)
+          .key("value").integer(Item.Value)
+          .endObject();
+    W.endArray();
   }
-  Out += Hists.empty() ? "]\n" : "\n  ]\n";
 
-  Out += "}\n";
-  return Out;
+  W.key("histograms").beginArray();
+  for (const Histogram *H : All.Histograms) {
+    Histogram::Snapshot S = H->snapshot();
+    W.beginObject(Layout::Inline)
+        .key("name").str(H->name())
+        .key("count").integer(S.Count)
+        .key("sum").integer(S.Sum)
+        .key("p50").integer(S.p50())
+        .key("p95").integer(S.p95())
+        .key("p99").integer(S.p99());
+    W.key("buckets").beginArray();
+    for (unsigned B = 0; B != Histogram::NumBuckets; ++B)
+      if (S.Buckets[B] != 0)
+        W.beginObject()
+            .key("le").integer(Histogram::bucketUpperBound(B))
+            .key("count").integer(S.Buckets[B])
+            .endObject();
+    W.endArray().endObject();
+  }
+  W.endArray();
+
+  W.endObject();
+}
+
+std::string MetricsRegistry::exportJson() const {
+  JsonWriter W;
+  exportJson(W);
+  return W.take();
 }

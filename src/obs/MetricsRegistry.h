@@ -37,6 +37,7 @@
 namespace smokestack {
 
 class Histogram;
+class JsonWriter;
 
 class MetricsRegistry {
 public:
@@ -55,18 +56,31 @@ public:
   /// Prometheus text exposition format.
   std::string exportText() const;
 
-  /// The smokestack-metrics-v1 JSON schema.
+  /// The smokestack-metrics-v1 JSON schema, as a standalone document.
   std::string exportJson() const;
+  /// The same object written as the next value of \p W, so a bench file
+  /// can nest it under a key of its own.
+  void exportJson(JsonWriter &W) const;
 
 private:
-  struct Gauge {
+  /// One counter or gauge value.
+  struct Sample {
     std::string Name;
     std::string Help;
     uint64_t Value;
   };
 
+  /// Everything this registry exports, each kind sorted by name; counters
+  /// are sampled at the call.
+  struct Sorted {
+    std::vector<Sample> Counters;
+    std::vector<Sample> Gauges;
+    std::vector<const Histogram *> Histograms;
+  };
+  Sorted sorted() const;
+
   bool IncludeGlobals;
-  std::vector<Gauge> Gauges;
+  std::vector<Sample> Gauges;
   std::vector<const Histogram *> Extra;
 };
 

@@ -9,7 +9,14 @@ the same bench and fails (exit 1) when:
   * for the soaks, the outcome digest differs from the baseline while
     the run parameters (requests, seed, workers, fault rate) match — the
     digest is bit-deterministic, so any mismatch is a real behavior
-    change, not noise.
+    change, not noise, or
+  * the candidate lacks an object key the baseline carries, at any depth.
+    Arrays are compared by the keys of their elements (the union over all
+    elements, so sweeps of different lengths compare). An empty baseline
+    array asks nothing of the candidate, but a candidate that empties an
+    array the baseline fills lacks its element keys. A writer change that
+    silently drops a field fails here even when no kind-specific gate
+    reads that field.
 
 A malformed input (missing "bench" kind, missing gated field) is reported
 as a clear REGRESSION line naming the file and the field, never as a
@@ -91,6 +98,29 @@ def check_drop(name, base, cand, max_drop_pct):
             f"{base:.1f} (limit {max_drop_pct:.0f}%)"
         )
     return ok(f"{name}: {cand:.1f} vs baseline {base:.1f} ({drop_pct:+.1f}%)")
+
+
+def key_paths(value, path=""):
+    """Every object-key path in a JSON value, array elements under "[]"
+    (so an array offers the union of its elements' keys)."""
+    paths = set()
+    if isinstance(value, dict):
+        for k, v in value.items():
+            sub = f"{path}.{k}" if path else k
+            paths |= {sub} | key_paths(v, sub)
+    elif isinstance(value, list):
+        for v in value:
+            paths |= key_paths(v, path + "[]")
+    return paths
+
+
+def check_key_presence(base, cand):
+    missing = sorted(key_paths(base) - key_paths(cand))
+    for where in missing:
+        fail(f"candidate lacks key {where!r} that the baseline carries")
+    if missing:
+        return 1
+    return ok("candidate carries every key of the baseline")
 
 
 def same_params(base, cand, keys):
@@ -413,10 +443,11 @@ def main():
     if kind not in checks:
         return fail(f"unknown bench kind {kind!r}")
     print(f"checking {kind}: {args.candidate} against {args.baseline}")
+    rc = check_key_presence(base, cand)
     try:
-        return checks[kind](base, cand, args.max_drop_pct)
+        return rc | checks[kind](base, cand, args.max_drop_pct)
     except GateError as e:
-        return fail(str(e))
+        return rc | fail(str(e))
 
 
 if __name__ == "__main__":
