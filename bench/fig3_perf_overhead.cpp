@@ -17,8 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "rng/AesCtr.h"
-#include "rng/Pseudo.h"
-#include "rng/RdRand.h"
+#include "rng/Schemes.h"
 #include "workloads/Workloads.h"
 
 #include <benchmark/benchmark.h>
@@ -32,22 +31,7 @@ using namespace smokestack;
 
 namespace {
 
-constexpr const char *SchemeNames[] = {"pseudo", "AES-1", "AES-10", "RDRAND"};
-constexpr unsigned NumSchemes = 4;
-
-std::unique_ptr<RandomSource> makeScheme(unsigned Index,
-                                         EntropySource &Entropy) {
-  switch (Index) {
-  case 0:
-    return std::make_unique<PseudoRandomSource>(Entropy);
-  case 1:
-    return std::make_unique<AesCtrRandomSource>(Entropy, 1);
-  case 2:
-    return std::make_unique<AesCtrRandomSource>(Entropy, 10);
-  default:
-    return std::make_unique<RdRandSource>(Entropy);
-  }
-}
+constexpr unsigned NumSchemes = std::size(RngSchemes);
 
 /// Wall-clock seconds for `Reps` runs of the kernel at `WorkPerRun`.
 double timeKernel(const Workload &Kernel, RandomSource *Rng, uint64_t Work) {
@@ -73,8 +57,8 @@ void printFigureThree() {
   std::printf("(per kernel, per random-number scheme, vs. uninstrumented "
               "baseline)\n\n");
   std::printf("%-22s", "benchmark");
-  for (const char *Scheme : SchemeNames)
-    std::printf("  %8s", Scheme);
+  for (const RngScheme &Scheme : RngSchemes)
+    std::printf("  %8s", Scheme.Label);
   std::printf("\n");
 
   SystemEntropySource Entropy;
@@ -91,7 +75,7 @@ void printFigureThree() {
 
     std::printf("%-22s", Kernel.Name);
     for (unsigned S = 0; S != NumSchemes; ++S) {
-      std::unique_ptr<RandomSource> Rng = makeScheme(S, Entropy);
+      std::unique_ptr<RandomSource> Rng = RngSchemes[S].Make(Entropy);
       double Hardened = medianTime(Kernel, Rng.get(), Work);
       double Overhead = (Hardened - Baseline) / Baseline * 100.0;
       std::printf("  %+7.1f%%", Overhead);
@@ -255,7 +239,7 @@ void printBatchedOverheadSweep() {
     std::printf("%-22s", Kernel.Name);
     for (unsigned S : {2u, 3u}) { // AES-10, RDRAND
       for (unsigned Batch : {1u, 64u}) {
-        std::unique_ptr<RandomSource> Rng = makeScheme(S, Entropy);
+        std::unique_ptr<RandomSource> Rng = RngSchemes[S].Make(Entropy);
         Rng->setBatchSize(Batch);
         double Hardened = medianTime(Kernel, Rng.get(), Work);
         std::printf("  %+8.1f%%", (Hardened - Baseline) / Baseline * 100.0);
@@ -276,7 +260,7 @@ int main(int argc, char **argv) {
   static SystemEntropySource Entropy;
   static std::vector<std::unique_ptr<RandomSource>> Sources;
   for (unsigned S = 0; S != NumSchemes; ++S)
-    Sources.push_back(makeScheme(S, Entropy));
+    Sources.push_back(RngSchemes[S].Make(Entropy));
 
   for (const Workload &Kernel : allWorkloads()) {
     benchmark::RegisterBenchmark(
@@ -289,7 +273,7 @@ int main(int argc, char **argv) {
         });
     for (unsigned S = 0; S != NumSchemes; ++S)
       benchmark::RegisterBenchmark(
-          (std::string("fig3/") + Kernel.Name + "/" + SchemeNames[S]).c_str(),
+          (std::string("fig3/") + Kernel.Name + "/" + RngSchemes[S].Label).c_str(),
           [&Kernel, S](benchmark::State &State) {
             uint64_t Sink = 0;
             for (auto _ : State)

@@ -33,6 +33,7 @@
 #include "jit/JitAbi.h"
 #include "obs/JsonWriter.h"
 #include "obs/Trace.h"
+#include "vm/Engine.h"
 #include "vm/Interpreter.h"
 
 #include <algorithm>
@@ -323,8 +324,6 @@ const KernelSpec Kernels[] = {
     {"gcc.worklist", buildWorklistKernel},
 };
 
-enum class Engine { Treewalk, Decoded, Jit };
-
 struct EngineResult {
   uint64_t Steps = 0;
   uint64_t ReturnValue = 0;
@@ -349,10 +348,9 @@ uint64_t digestResult(uint64_t Steps, uint64_t ReturnValue) {
 /// decode cost for the decoded engine — plus the stencil compile for the
 /// JIT (JitThreshold=0 promotes on the warmup call) — and any allocator
 /// warmup for all of them.
-EngineResult measureEngine(Module &M, Engine E, int Reps) {
+EngineResult measureEngine(Module &M, VmEngine E, int Reps) {
   InterpreterOptions Opts;
-  Opts.UseDecodedEngine = E != Engine::Treewalk;
-  Opts.UseJit = E == Engine::Jit;
+  setEngine(Opts, E);
   Opts.JitThreshold = 0;
   Interpreter VM(M, nullptr, Opts);
 
@@ -385,17 +383,17 @@ EngineResult measureEngine(Module &M, Engine E, int Reps) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string EngineSel = "all";
+  // -engine=all, or one engine by its shared table name.
+  bool All = true;
+  VmEngine Sel = VmEngine::Decoded;
   std::vector<const char *> Paths;
   for (int I = 1; I != argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("-engine=", 0) == 0) {
-      EngineSel = Arg.substr(8);
-      if (EngineSel != "all" && EngineSel != "jit" && EngineSel != "decoded" &&
-          EngineSel != "treewalk") {
-        std::fprintf(stderr,
-                     "unknown -engine=%s (all|jit|decoded|treewalk)\n",
-                     EngineSel.c_str());
+      All = Arg == "-engine=all";
+      if (!All && !parseEngine(Arg.substr(8), Sel)) {
+        std::fprintf(stderr, "unknown %s (all|%s)\n", Arg.c_str(),
+                     VmEngineChoices);
         return 1;
       }
     } else {
@@ -409,15 +407,10 @@ int main(int argc, char **argv) {
 
   // The decoded engine is always measured: it is the digest oracle for the
   // JIT and the baseline of both speedup gates. -engine trims the rest.
-  const bool WantTree = EngineSel == "all" || EngineSel == "decoded" ||
-                        EngineSel == "treewalk";
-  const bool WantDecoded = EngineSel != "treewalk";
-  const bool WantJit =
-      (EngineSel == "all" || EngineSel == "jit") && jitAvailable();
-  if ((EngineSel == "all" || EngineSel == "jit") && !jitAvailable())
-    std::fprintf(stderr,
-                 "warning: JIT unavailable on this host; measuring the "
-                 "decoded engine only\n");
+  const bool WantTree = All || Sel != VmEngine::Jit;
+  const bool WantDecoded = All || Sel != VmEngine::TreeWalk;
+  const bool WantJit = (All || Sel == VmEngine::Jit) &&
+                       availableEngine(VmEngine::Jit) == VmEngine::Jit;
 
   std::printf("Mini-IR interpreter throughput: tree-walk vs pre-decoded "
               "vs jit\n");
@@ -446,13 +439,13 @@ int main(int argc, char **argv) {
 
     EngineResult Tree, Decoded, Jit;
     if (WantTree)
-      Tree = measureEngine(M, Engine::Treewalk, Reps);
+      Tree = measureEngine(M, VmEngine::TreeWalk, Reps);
     if (WantDecoded)
-      Decoded = measureEngine(M, Engine::Decoded, Reps);
+      Decoded = measureEngine(M, VmEngine::Decoded, Reps);
     else
       Decoded = Tree; // -engine=treewalk: reuse the oracle as the baseline
     if (WantJit)
-      Jit = measureEngine(M, Engine::Jit, Reps);
+      Jit = measureEngine(M, VmEngine::Jit, Reps);
 
     if (WantTree && WantDecoded &&
         (Tree.ReturnValue != Decoded.ReturnValue ||

@@ -61,7 +61,6 @@
 #include "defenses/Deploy.h"
 #include "faults/FaultInjector.h"
 #include "ir/IRBuilder.h"
-#include "jit/JitAbi.h"
 #include "net/Client.h"
 #include "net/SocketServer.h"
 #include "obs/JsonWriter.h"
@@ -73,18 +72,16 @@
 #include "rng/Resilient.h"
 #include "runtime/RequestRng.h"
 #include "runtime/WorkerPool.h"
+#include "support/CommandLine.h"
 #include "support/Fnv.h"
 #include "support/Format.h"
+#include "vm/Engine.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cctype>
 #include <cinttypes>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
@@ -121,9 +118,9 @@ struct Campaign {
   /// the randomness faults (pool and socket passes only).
   bool Chaos = false;
   /// Serving engine for every VM (-engine=): the digests are only
-  /// comparable across modes if the engine is held constant. "jit"
-  /// degrades to "decoded" with a warning on hosts without jitAvailable().
-  std::string Engine = "decoded";
+  /// comparable across modes if the engine is held constant. The JIT
+  /// degrades to decoded with a warning on hosts without jitAvailable().
+  VmEngine Engine = VmEngine::Decoded;
   /// -shard-mode=: whether socket passes serve through in-process
   /// WorkerPool shards or forked shard child processes. The wire digest is
   /// mode-invariant by contract; under -chaos, process mode additionally
@@ -156,11 +153,6 @@ void scriptRandomnessFaults(const Campaign &C, FaultPlan &Plan) {
                                       0};
   Plan.site(FaultSite::RekeyEntropy) = {0.25, 1, 0};
   Plan.site(FaultSite::AesNiPresence) = {0.02, 1, 0};
-}
-
-void applyEngine(const Campaign &C, InterpreterOptions &O) {
-  O.UseDecodedEngine = C.Engine != "treewalk";
-  O.UseJit = C.Engine == "jit";
 }
 
 //===----------------------------------------------------------------------===//
@@ -397,7 +389,7 @@ PassResult runSequentialPass(const Campaign &C) {
   ResilientRandomSource Rng({Chain, 2}, RO);
 
   InterpreterOptions ServerOpts = V.Deployed.InterpOpts;
-  applyEngine(C, ServerOpts);
+  setEngine(ServerOpts, C.Engine);
   Interpreter Server(V.M, &Rng, ServerOpts);
   auto serve = [&](uint64_t Index) {
     ExecResult E = Server.runRequest("driver");
@@ -502,7 +494,7 @@ PoolOptions makeSoakPoolOptions(const Campaign &C, unsigned Workers,
   PO.QueueCapacity = 256;
   PO.Function = "driver";
   PO.InterpOpts = InterpOpts;
-  applyEngine(C, PO.InterpOpts);
+  setEngine(PO.InterpOpts, C.Engine);
   PO.InjectFaults = true;
   PO.SnapshotRestore = SnapshotRestore;
   PO.Tracer = Tracer;
@@ -512,10 +504,7 @@ PoolOptions makeSoakPoolOptions(const Campaign &C, unsigned Workers,
     // crashes and hard worker deaths. Both probes fire before the request
     // RNG reseeds, so a doomed attempt consumes no request randomness and
     // the retry replays bit-identically.
-    PO.FaultTemplate.site(FaultSite::WorkerCrash) = {CrashRate, 1, 0};
-    PO.FaultTemplate.site(FaultSite::WorkerDeath) = {DeathRate, 1, 0};
-    PO.Supervision.AttemptsMin = 2;
-    PO.Supervision.AttemptsMax = 4;
+    PO.scriptWorkerChaos(CrashRate, DeathRate);
   }
   // Permanent DRNG death over the tail ~15% of the request space: those
   // requests' primaries fail every draw and the AES fallback carries the
@@ -854,10 +843,9 @@ struct NetPassResult {
 };
 
 /// One socket pass: a SocketServer over the soak module at \p Shards
-/// WorkerPool shards, driven by \p Connections concurrent client threads
-/// with windowed pipelining and the identical traffic shape to
-/// runPoolPass, plus malformed chaff and, in chaos mode, socket-layer
-/// fault injection.
+/// WorkerPool shards, driven by pipelineRequests() over \p Connections
+/// connections with the identical traffic shape to runPoolPass, plus
+/// malformed chaff and, in chaos mode, socket-layer fault injection.
 /// Outcomes are reconstructed from the wire responses and digested by the
 /// same tallyPass as the in-process soak, so digest equality pins the
 /// whole wire round trip — framing, shard routing, completion fan-in,
@@ -907,44 +895,8 @@ NetPassResult runNetPass(const Campaign &C, unsigned Shards,
   }
   const uint16_t Port = Server.port();
 
-  // Request traffic: connection T owns the index residue class
-  // I % Connections == T, so every slot of Responses/Got is written by
-  // exactly one thread and read only after the joins.
-  std::vector<WireResponse> Responses(NumRequests);
-  std::vector<uint8_t> Got(NumRequests, 0);
-  std::atomic<bool> ClientFailed{false};
-  constexpr size_t Window = 16;
+  std::atomic<bool> ChaffFailed{false};
   auto Begin = std::chrono::steady_clock::now();
-  std::vector<std::thread> Clients;
-  Clients.reserve(Connections);
-  auto serveConnection = [&](unsigned T) {
-    BlockingClient Conn;
-    if (!Conn.connectTo(Port))
-      return false;
-    const uint64_t Mine = (NumRequests + Connections - 1 - T) / Connections;
-    for (uint64_t Sent = 0, Received = 0; Received != Mine; ++Received) {
-      for (; Sent != Mine && Sent - Received < Window; ++Sent) {
-        WireRequest Req;
-        Req.Index = T + Sent * Connections;
-        if (isAttack(Req.Index))
-          Req.Inputs.push_back(V.Stale->bytes());
-        if (!Conn.sendRequest(Req))
-          return false;
-      }
-      WireResponse Resp;
-      if (!Conn.recvResponse(Resp, /*TimeoutMillis=*/60000) ||
-          Resp.Index >= NumRequests || Got[Resp.Index])
-        return false;
-      Got[Resp.Index] = 1;
-      Responses[Resp.Index] = Resp;
-    }
-    return true;
-  };
-  for (unsigned T = 0; T != Connections; ++T)
-    Clients.emplace_back([&, T] {
-      if (!serveConnection(T))
-        ClientFailed.store(true, std::memory_order_relaxed);
-    });
 
   // Chaff rides alongside the request traffic. The notice-earning classes
   // (zero-length, oversize, garbage) wait for their ProtocolError notice,
@@ -965,7 +917,7 @@ NetPassResult runNetPass(const Campaign &C, unsigned Shards,
             (AwaitNotice &&
              (!Conn.recvResponse(Notice, /*TimeoutMillis=*/5000) ||
               Notice.Status != WireStatus::ProtocolError)))
-          ClientFailed.store(true, std::memory_order_relaxed);
+          ChaffFailed.store(true, std::memory_order_relaxed);
         if (!AwaitNotice)
           Conn.closeConn();
       }
@@ -987,11 +939,19 @@ NetPassResult runNetPass(const Campaign &C, unsigned Shards,
         Conn.resetConn();
     }
     if (!Connected)
-      ClientFailed.store(true, std::memory_order_relaxed);
+      ChaffFailed.store(true, std::memory_order_relaxed);
   });
 
-  for (std::thread &Th : Clients)
-    Th.join();
+  // Request traffic.
+  PipelineOptions Load;
+  Load.Connections = Connections;
+  Load.Window = 16;
+  Load.TimeoutMillis = 60000;
+  Load.Fill = [&](WireRequest &Req) {
+    if (isAttack(Req.Index))
+      Req.Inputs.push_back(V.Stale->bytes());
+  };
+  PipelineResult Got = pipelineRequests(Port, NumRequests, Load);
   ChaffThread.join();
   auto End = std::chrono::steady_clock::now();
   R.Pool.Seconds = std::chrono::duration<double>(End - Begin).count();
@@ -1003,32 +963,32 @@ NetPassResult runNetPass(const Campaign &C, unsigned Shards,
 
   // Reconstruct the outcome stream from the wire responses. Indices
   // 0..N-1 in order is already index-sorted, as tallyPass requires.
-  bool AllServed = !ClientFailed.load(std::memory_order_relaxed);
+  bool AllServed = Got.Ok && !ChaffFailed.load(std::memory_order_relaxed);
   if (!AllServed)
     std::fprintf(stderr,
-                 "net soak: client failure, %zu responses missing "
-                 "(kills=%" PRIu64 " deaths=%" PRIu64 " restarts=%" PRIu64
-                 " replays=%" PRIu64 ")\n",
-                 static_cast<size_t>(std::count(Got.begin(), Got.end(), 0)),
-                 R.Report.Net.ShardKillFaults,
+                 "net soak: client failure (%s), %" PRIu64
+                 " responses missing (kills=%" PRIu64 " deaths=%" PRIu64
+                 " restarts=%" PRIu64 " replays=%" PRIu64 ")\n",
+                 Got.Ok ? "chaff" : Got.Error.c_str(),
+                 NumRequests - Got.Answered, R.Report.Net.ShardKillFaults,
                  R.Report.Net.ShardDeaths, R.Report.Net.ShardRestarts,
                  R.Report.Net.ShardReplays);
   std::vector<PoolOutcome> Outcomes;
   Outcomes.reserve(NumRequests);
   for (uint64_t I = 0; AllServed && I != NumRequests; ++I) {
-    const WireResponse &W = Responses[I];
-    AllServed = Got[I] && (W.Status == WireStatus::Ok ||
-                           W.Status == WireStatus::Trapped ||
-                           W.Status == WireStatus::Poisoned);
+    const std::optional<WireResponse> &W = Got.Responses[I];
+    AllServed = W && (W->Status == WireStatus::Ok ||
+                      W->Status == WireStatus::Trapped ||
+                      W->Status == WireStatus::Poisoned);
     if (!AllServed)
       break;
     PoolOutcome O;
-    O.Index = W.Index;
-    O.Trap = W.Trap;
-    O.ReturnValue = W.ReturnValue;
-    O.Steps = W.Steps;
-    O.Attempts = W.Attempts;
-    O.Poisoned = W.Status == WireStatus::Poisoned;
+    O.Index = W->Index;
+    O.Trap = W->Trap;
+    O.ReturnValue = W->ReturnValue;
+    O.Steps = W->Steps;
+    O.Attempts = W->Attempts;
+    O.Poisoned = W->Status == WireStatus::Poisoned;
     Outcomes.push_back(O);
   }
   if (AllServed)
@@ -1148,11 +1108,11 @@ int runPoolSoak(const Campaign &C, unsigned Workers,
   PassResult Alt = runPoolPass(C, Workers == 1 ? 2 : 1);
   PassResult E = runPoolPass(C, Workers, /*Tracer=*/nullptr,
                              /*SnapshotRestore=*/false);
-  const bool EngineDiff = C.Engine != "decoded";
+  const bool EngineDiff = C.Engine != VmEngine::Decoded;
   PassResult F;
   if (EngineDiff) {
     Campaign Decoded = C;
-    Decoded.Engine = "decoded";
+    Decoded.Engine = VmEngine::Decoded;
     F = runPoolPass(Decoded, Workers);
   }
   if (!A.Valid) // every pass discloses the same seed's layout
@@ -1220,7 +1180,7 @@ int runPoolSoak(const Campaign &C, unsigned Workers,
     W.key("death_rate").fixed(DeathRate, 3);
     W.key("seed").integer(C.Seed);
     W.key("workers").integer(Workers);
-    W.key("engine").str(C.Engine);
+    W.key("engine").str(engineName(C.Engine));
     W.key("digest").hex(A.DigestValue);
     W.key("accounting").beginObject();
     W.key("submitted").integer(BK.Submitted);
@@ -1543,50 +1503,9 @@ int usage() {
                "[-requests=N] [-rate=R] [-seed=S] [-workers=N] "
                "[-scaling] [-chaos] [-net] [-connections=N] "
                "[-shard-mode=thread|process] "
-               "[-engine=jit|decoded|treewalk] [-json=PATH]\n");
+               "[-engine=%s] [-json=PATH]\n",
+               VmEngineChoices);
   return 2;
-}
-
-/// The text after "\p Flag=" when \p Arg is that flag, else null.
-const char *flagValue(const char *Arg, const char *Flag) {
-  size_t Len = std::strlen(Flag);
-  return std::strncmp(Arg, Flag, Len) == 0 ? Arg + Len : nullptr;
-}
-
-/// Parses all of \p Text as an unsigned integer (decimal, 0x-hex, or
-/// 0-octal); false on an empty string, a sign, trailing junk, or overflow.
-bool parseU64(const char *Text, uint64_t &Out) {
-  if (!std::isdigit(static_cast<unsigned char>(*Text)))
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Text, &End, 0);
-  if (*End != '\0' || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
-bool parseUnsigned(const char *Text, unsigned &Out) {
-  uint64_t V = 0;
-  if (!parseU64(Text, V) || V > UINT_MAX)
-    return false;
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
-/// Parses all of \p Text as a fault probability in [0, 1]; false on an
-/// empty string, a sign, trailing junk, or a value outside the range.
-bool parseRate(const char *Text, double &Out) {
-  if (!std::isdigit(static_cast<unsigned char>(*Text)) && *Text != '.')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  double V = std::strtod(Text, &End);
-  if (End == Text || *End != '\0' || errno == ERANGE || !(V >= 0 && V <= 1))
-    return false;
-  Out = V;
-  return true;
 }
 
 } // namespace
@@ -1623,11 +1542,9 @@ int main(int argc, char **argv) {
     } else if ((V = flagValue(Arg, "-connections="))) {
       Ok = parseUnsigned(V, Connections);
     } else if ((V = flagValue(Arg, "-engine="))) {
-      C.Engine = V;
-      if (C.Engine != "jit" && C.Engine != "decoded" &&
-          C.Engine != "treewalk") {
-        std::fprintf(stderr, "unknown -engine=%s (jit|decoded|treewalk)\n",
-                     V);
+      if (!parseEngine(V, C.Engine)) {
+        std::fprintf(stderr, "unknown -engine=%s (%s)\n", V,
+                     VmEngineChoices);
         return 2;
       }
     } else if ((V = flagValue(Arg, "-requests="))) {
@@ -1653,11 +1570,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (C.Engine == "jit" && !jitAvailable()) {
-    std::fprintf(stderr, "warning: JIT unavailable on this host; "
-                         "falling back to the decoded engine\n");
-    C.Engine = "decoded";
-  }
+  C.Engine = availableEngine(C.Engine);
 
   if (JsonPath.empty())
     JsonPath = Net       ? "BENCH_netsoak.json"

@@ -11,7 +11,6 @@
 #include "support/Statistics.h"
 
 #include <atomic>
-#include <cassert>
 
 using namespace smokestack;
 
@@ -37,15 +36,10 @@ PBoxTable FrameDescriptor::buildTable(std::vector<AllocationSlot> &Slots,
   Slots.push_back({8, 8, "__ss_fnid"});
   AllocationSignature Sig(Slots);
   Canon = Sig.originalToCanonical();
-
-  std::vector<AllocationSlot> CanonSlots;
-  CanonSlots.reserve(Sig.size());
-  for (auto [Size, Align] : Sig.slots())
-    CanonSlots.push_back({Size, Align, ""});
-  assert(CanonSlots.size() <= Opts.MaxExhaustiveSlots + 1 &&
-         "native frames use exhaustive tables; keep slot counts small");
-  return PBoxTable(Sig, generateAllPermutations(CanonSlots),
-                   Opts.PowerOfTwoRows, Opts.ShuffleSeed);
+  // Same rows as the pass's P-BOX: exhaustive up to MaxExhaustiveSlots
+  // (identifier included), sampled past it.
+  return PBoxTable(Sig, PBox::buildRows(Sig, Opts), Opts.PowerOfTwoRows,
+                   Opts.ShuffleSeed);
 }
 
 FrameDescriptor::FrameDescriptor(std::vector<AllocationSlot> Slots,

@@ -45,8 +45,8 @@ PBoxTable::PBoxTable(AllocationSignature Sig, std::vector<LayoutRow> Rows,
   FrameSize = alignTo(MaxTotal == 0 ? 16 : MaxTotal, 16);
 }
 
-std::vector<LayoutRow>
-PBox::buildRows(const AllocationSignature &Sig) const {
+std::vector<LayoutRow> PBox::buildRows(const AllocationSignature &Sig,
+                                       const PBoxOptions &Opts) {
   std::vector<AllocationSlot> Slots;
   Slots.reserve(Sig.size());
   for (auto [Size, Align] : Sig.slots())
@@ -86,7 +86,7 @@ PBox::buildRows(const AllocationSignature &Sig) const {
 
 unsigned PBox::createTable(const AllocationSignature &Sig) {
   Tables.push_back(std::make_unique<PBoxTable>(
-      Sig, buildRows(Sig), Opts.PowerOfTwoRows,
+      Sig, buildRows(Sig, Opts), Opts.PowerOfTwoRows,
       Opts.ShuffleSeed + Tables.size()));
   return static_cast<unsigned>(Tables.size() - 1);
 }

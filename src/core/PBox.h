@@ -118,9 +118,14 @@ public:
   /// table (statistics for the ablation study).
   uint64_t shareHits() const { return ShareHits; }
 
+  /// The rows of \p Sig's table: every permutation up to
+  /// Opts.MaxExhaustiveSlots slots, Opts.SampledRows seeded samples past
+  /// it. The one row builder of both the pass's P-BOX and native frames.
+  static std::vector<LayoutRow> buildRows(const AllocationSignature &Sig,
+                                          const PBoxOptions &Opts);
+
 private:
   unsigned createTable(const AllocationSignature &Sig);
-  std::vector<LayoutRow> buildRows(const AllocationSignature &Sig) const;
 
   PBoxOptions Opts;
   std::vector<std::unique_ptr<PBoxTable>> Tables;

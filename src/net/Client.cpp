@@ -6,9 +6,16 @@
 
 #include "net/Client.h"
 
+#include "support/Format.h"
+
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cinttypes>
 #include <cstring>
+#include <exception>
+#include <thread>
 #include <utility>
 
 #include <netinet/in.h>
@@ -20,20 +27,6 @@
 using namespace smokestack;
 
 BlockingClient::~BlockingClient() { closeConn(); }
-
-BlockingClient::BlockingClient(BlockingClient &&O) noexcept
-    : Fd(std::exchange(O.Fd, -1)), Decoder(std::move(O.Decoder)),
-      PeerClosed(O.PeerClosed) {}
-
-BlockingClient &BlockingClient::operator=(BlockingClient &&O) noexcept {
-  if (this != &O) {
-    closeConn();
-    Fd = std::exchange(O.Fd, -1);
-    Decoder = std::move(O.Decoder);
-    PeerClosed = O.PeerClosed;
-  }
-  return *this;
-}
 
 bool BlockingClient::connectTo(uint16_t Port, std::string *Err) {
   closeConn();
@@ -140,4 +133,67 @@ void BlockingClient::resetConn() {
   ::setsockopt(Fd, SOL_SOCKET, SO_LINGER, &L, sizeof L);
   ::close(Fd);
   Fd = -1;
+}
+
+PipelineResult smokestack::pipelineRequests(uint16_t Port, uint64_t N,
+                                            const PipelineOptions &Opts) {
+  PipelineResult R;
+  R.Responses.resize(N);
+  const unsigned C = std::max(1u, Opts.Connections);
+  std::vector<uint64_t> Sent(C, 0), Answered(C, 0);
+  std::atomic<bool> Failed{false};
+  auto fail = [&](std::string Error) { // the first failure's error wins
+    if (!Failed.exchange(true))
+      R.Error = std::move(Error);
+  };
+
+  // Connection T writes only the Responses slots of its own residue class
+  // (a response outside it fails the load first), so no slot is shared.
+  auto serve = [&](unsigned T) {
+    BlockingClient Conn;
+    std::string Err;
+    if (!Conn.connectTo(Port, &Err))
+      return fail(Err);
+    const uint64_t Mine = (N + C - 1 - T) / C;
+    uint64_t &S = Sent[T], &A = Answered[T];
+    while (A != Mine && !Failed && !(Opts.Stop && Opts.Stop())) {
+      for (; S != Mine && S - A < std::max<uint64_t>(1, Opts.Window); ++S) {
+        WireRequest Req;
+        Req.Index = T + S * C;
+        if (Opts.Fill)
+          Opts.Fill(Req);
+        if (!Conn.sendRequest(Req))
+          return fail(formatString("send of request %" PRIu64 " failed",
+                                   Req.Index));
+      }
+      WireResponse Resp;
+      if (!Conn.recvResponse(Resp, Opts.TimeoutMillis))
+        return fail(Conn.peerClosed()
+                        ? std::string("server closed the connection")
+                        : formatString("no well-formed response within %u ms",
+                                       Opts.TimeoutMillis));
+      if (Resp.Index >= N || Resp.Index % C != T || R.Responses[Resp.Index])
+        return fail(formatString("unexpected response index %" PRIu64,
+                                 Resp.Index));
+      R.Responses[Resp.Index] = std::move(Resp);
+      ++A;
+    }
+  };
+  {
+    std::vector<std::jthread> Threads; // joined at the end of this scope
+    for (unsigned T = 0; T != C; ++T)
+      Threads.emplace_back([&, T] {
+        try {
+          serve(T);
+        } catch (const std::exception &E) { // e.g. from a Fill callback
+          fail(E.what());
+        }
+      });
+  }
+  for (unsigned T = 0; T != C; ++T) {
+    R.Sent += Sent[T];
+    R.Answered += Answered[T];
+  }
+  R.Ok = !Failed;
+  return R;
 }

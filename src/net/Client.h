@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A deliberately simple blocking client for the wire protocol: the test
+/// A deliberately simple blocking client for the wire protocol. It exposes
+/// the *raw* byte path on purpose (sendBytes), because half of what the
+/// net suite tests is the server's reaction to bytes a well-behaved client
+/// would never send — truncated prefixes, lying lengths, garbage payloads,
+/// abrupt resets.
+///
+/// pipelineRequests() is the one windowed load loop built on it: the test
 /// suites, the socket soak, and smokestack-opt's -serve self-test all
-/// drive SocketServer through this. It exposes the *raw* byte path on
-/// purpose (sendBytes), because half of what the net suite tests is the
-/// server's reaction to bytes a well-behaved client would never send —
-/// truncated prefixes, lying lengths, garbage payloads, abrupt resets.
+/// drive well-formed traffic through SocketServer with it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +23,10 @@
 #include "net/FrameCodec.h"
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace smokestack {
 
@@ -28,8 +34,6 @@ class BlockingClient {
 public:
   BlockingClient() = default;
   ~BlockingClient();
-  BlockingClient(BlockingClient &&O) noexcept;
-  BlockingClient &operator=(BlockingClient &&O) noexcept;
   BlockingClient(const BlockingClient &) = delete;
   BlockingClient &operator=(const BlockingClient &) = delete;
 
@@ -66,6 +70,42 @@ private:
   FrameDecoder Decoder;
   bool PeerClosed = false;
 };
+
+/// Shape of one pipelineRequests() load.
+struct PipelineOptions {
+  /// Concurrent connections; connection T owns the indices I % C == T.
+  unsigned Connections = 1;
+  /// Most unanswered requests per connection.
+  uint64_t Window = 16;
+  /// Longest wait for any one response.
+  unsigned TimeoutMillis = 5000;
+  /// Fills a request's payload; Index is already set. Null sends empty
+  /// requests.
+  std::function<void(WireRequest &)> Fill;
+  /// Polled before each send batch; true ends the load early, which is not
+  /// a failure. Null never stops. Fill and Stop run concurrently on the
+  /// connection threads.
+  std::function<bool()> Stop;
+};
+
+/// What one pipelineRequests() load got back.
+struct PipelineResult {
+  /// Responses[I] holds index I's response, or nothing if none arrived.
+  std::vector<std::optional<WireResponse>> Responses;
+  uint64_t Sent = 0;
+  uint64_t Answered = 0;
+  /// False after a connect, send, or timeout error, or a response with a
+  /// duplicate or out-of-range index; Error says which (the first one).
+  bool Ok = true;
+  std::string Error;
+};
+
+/// Sends indices [0, \p N) to 127.0.0.1:\p Port over Opts.Connections
+/// connections, each keeping at most Opts.Window requests unanswered, and
+/// collects the responses by index. A failing connection stops the others
+/// at their next receive.
+PipelineResult pipelineRequests(uint16_t Port, uint64_t N,
+                                const PipelineOptions &Opts = {});
 
 } // namespace smokestack
 

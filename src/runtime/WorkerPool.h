@@ -266,6 +266,16 @@ struct PoolOptions {
   /// *within* the attempt.
   bool InjectFaults = false;
   FaultPlan FaultTemplate;
+  /// Scripts worker chaos into FaultTemplate: contained crashes at
+  /// \p CrashRate and hard worker deaths at \p DeathRate per attempt,
+  /// under a 2..4 attempt budget per request.
+  void scriptWorkerChaos(double CrashRate, double DeathRate) {
+    InjectFaults = true;
+    FaultTemplate.site(FaultSite::WorkerCrash) = {CrashRate, 1, 0};
+    FaultTemplate.site(FaultSite::WorkerDeath) = {DeathRate, 1, 0};
+    Supervision.AttemptsMin = 2;
+    Supervision.AttemptsMax = 4;
+  }
   /// Optional per-request adjustment of the derived plan (e.g. "the DRNG
   /// is dead for every request past 85% of the soak"). MUST be a pure
   /// function of the index — any other dependence breaks the replay

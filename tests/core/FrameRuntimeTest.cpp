@@ -8,7 +8,9 @@
 
 #include "rng/AesCtr.h"
 #include "rng/Pseudo.h"
+#include "support/Fnv.h"
 
+#include <algorithm>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <set>
@@ -110,4 +112,59 @@ TEST(FrameRuntimeTest, FrameSizeAccountsForIdentifierSlot) {
   EXPECT_GE(Desc.frameSize(), 16u);
   EXPECT_EQ(Desc.numSlots(), 1u);
   EXPECT_EQ(Desc.table().numSlots(), 2u);
+}
+
+TEST(FrameRuntimeTest, LargeFramesSampleRowsLikeThePBox) {
+  // Ten user slots plus the identifier would need 11! (~40M) exhaustive
+  // rows; past MaxExhaustiveSlots the descriptor samples like the P-BOX.
+  std::vector<AllocationSlot> Slots;
+  for (unsigned I = 0; I != 10; ++I)
+    Slots.push_back({I % 2 ? 8u : 13u + I, I % 2 ? 8u : 1u, ""});
+  PBoxOptions Opts;
+  FrameDescriptor Desc(Slots, Opts);
+  const PBoxTable &T = Desc.table();
+  ASSERT_EQ(T.numSlots(), 11u);
+  EXPECT_EQ(T.numRows(), Opts.SampledRows);
+
+  // Every row places each canonical slot at its alignment, inside the
+  // frame, and overlapping no other slot.
+  const std::vector<std::pair<uint64_t, uint64_t>> &Canon =
+      T.signature().slots();
+  for (uint64_t R = 0; R != T.numRows(); ++R) {
+    std::vector<std::pair<uint64_t, uint64_t>> Spans; // [begin, end)
+    for (unsigned S = 0; S != T.numSlots(); ++S) {
+      auto [Size, Align] = Canon[S];
+      uint64_t Off = T.offsetAt(R, S);
+      ASSERT_EQ(Off % Align, 0u) << "row " << R << " slot " << S;
+      ASSERT_LE(Off + Size, Desc.frameSize()) << "row " << R;
+      Spans.push_back({Off, Off + Size});
+    }
+    std::sort(Spans.begin(), Spans.end());
+    for (size_t I = 1; I != Spans.size(); ++I)
+      ASSERT_LE(Spans[I - 1].second, Spans[I].first) << "row " << R;
+  }
+}
+
+TEST(FrameRuntimeTest, SevenSlotFrameKeepsItsExhaustiveTable) {
+  // The native attack frame of the Fig. 3 bench: seven user slots plus the
+  // identifier is the largest frame that still enumerates all 8! layouts.
+  // The digest pins the table bit for bit (row order included).
+  FrameDescriptor Desc({{64, 1, "buf"},
+                        {8, 8, "ctr"},
+                        {8, 8, "op"},
+                        {8, 8, "step"},
+                        {8, 8, "acc"},
+                        {24, 1, "f1"},
+                        {4, 4, "f2"}});
+  const PBoxTable &T = Desc.table();
+  std::set<std::vector<uint32_t>> Distinct;
+  for (uint64_t R = 0; R != T.numRows(); ++R)
+    Distinct.insert({T.flat().begin() + R * T.numSlots(),
+                     T.flat().begin() + (R + 1) * T.numSlots()});
+  EXPECT_EQ(Distinct.size(), 40320u); // 8!
+  EXPECT_EQ(T.numRows(), 65536u);     // padded to a power of two
+  Fnv64 Digest;
+  for (uint32_t Offset : T.flat())
+    Digest.mix(Offset);
+  EXPECT_EQ(Digest.value(), 0x8789bbe685b894d5ULL);
 }

@@ -22,7 +22,6 @@
 
 #include "gtest/gtest.h"
 
-#include <map>
 
 using namespace smokestack;
 
@@ -51,26 +50,13 @@ ServerOptions shardServerOptions(unsigned Shards, ShardMode Mode) {
   return Opts;
 }
 
-/// Sends indices [0, N) pipelined on one connection and returns the
-/// responses keyed by index (completion order is scheduling-dependent).
-std::map<uint64_t, WireResponse> serveAll(uint16_t Port, uint64_t N) {
-  BlockingClient Client;
-  EXPECT_TRUE(Client.connectTo(Port));
-  for (uint64_t I = 0; I != N; ++I) {
-    WireRequest Req;
-    Req.Index = I;
-    EXPECT_TRUE(Client.sendRequest(Req));
-  }
-  std::map<uint64_t, WireResponse> ByIndex;
-  for (uint64_t I = 0; I != N; ++I) {
-    WireResponse R;
-    if (!Client.recvResponse(R, /*TimeoutMillis=*/30000)) {
-      ADD_FAILURE() << "response " << I << " never arrived";
-      break;
-    }
-    ByIndex[R.Index] = R;
-  }
-  return ByIndex;
+/// All N requests in flight at once on one connection; the generous
+/// timeout covers a shard child's re-fork and replay.
+PipelineOptions allAtOnce(uint64_t N) {
+  PipelineOptions Opts;
+  Opts.Window = N;
+  Opts.TimeoutMillis = 30000;
+  return Opts;
 }
 
 TEST(ShardProcessTest, ProcessModeMatchesThreadModeBitForBit) {
@@ -79,22 +65,25 @@ TEST(ShardProcessTest, ProcessModeMatchesThreadModeBitForBit) {
   buildRandModule(M);
   installServerSignalDefaults();
 
-  std::map<uint64_t, WireResponse> PerMode[2];
+  PipelineResult PerMode[2];
   DrainReport Reports[2];
   const ShardMode Modes[] = {ShardMode::Thread, ShardMode::Process};
   for (unsigned I = 0; I != 2; ++I) {
     SocketServer Server(M, shardServerOptions(2, Modes[I]));
     std::string Err;
     ASSERT_TRUE(Server.start(&Err)) << Err;
-    PerMode[I] = serveAll(Server.port(), N);
+    PerMode[I] = pipelineRequests(Server.port(), N, allAtOnce(N));
+    ASSERT_TRUE(PerMode[I].Ok) << PerMode[I].Error;
     Reports[I] = Server.drain();
     ASSERT_TRUE(Reports[I].Clean);
     ASSERT_TRUE(Reports[I].IdentityOk);
   }
 
-  ASSERT_EQ(PerMode[1].size(), PerMode[0].size());
-  for (const auto &[Index, RT] : PerMode[0]) {
-    const WireResponse &RP = PerMode[1].at(Index);
+  ASSERT_EQ(PerMode[1].Answered, N);
+  ASSERT_EQ(PerMode[0].Answered, N);
+  for (uint64_t Index = 0; Index != N; ++Index) {
+    const WireResponse &RT = *PerMode[0].Responses[Index];
+    const WireResponse &RP = *PerMode[1].Responses[Index];
     EXPECT_EQ(RP.Status, RT.Status) << Index;
     EXPECT_EQ(RP.Trap, RT.Trap) << Index;
     EXPECT_EQ(RP.ReturnValue, RT.ReturnValue) << Index;
@@ -135,7 +124,8 @@ TEST(ShardProcessTest, SigkillShardReplaysInFlightBitForBit) {
   SocketServer RefServer(M, shardServerOptions(1, ShardMode::Thread));
   std::string Err;
   ASSERT_TRUE(RefServer.start(&Err)) << Err;
-  std::map<uint64_t, WireResponse> Ref = serveAll(RefServer.port(), N);
+  PipelineResult Ref = pipelineRequests(RefServer.port(), N, allAtOnce(N));
+  ASSERT_TRUE(Ref.Ok) << Ref.Error;
   DrainReport RefRep = RefServer.drain();
   ASSERT_TRUE(RefRep.Clean);
 
@@ -149,14 +139,16 @@ TEST(ShardProcessTest, SigkillShardReplaysInFlightBitForBit) {
   SO.NetFaultPlan.site(FaultSite::ShardKill) = {0.0, 1, /*FailFromProbe=*/32};
   SocketServer Server(M, SO);
   ASSERT_TRUE(Server.start(&Err)) << Err;
-  std::map<uint64_t, WireResponse> Got = serveAll(Server.port(), N);
+  PipelineResult Got = pipelineRequests(Server.port(), N, allAtOnce(N));
   DrainReport Rep = Server.drain();
 
   // Every response arrived, served, and bit-identical to thread mode —
   // the kills are invisible outside the lifecycle counters.
-  ASSERT_EQ(Got.size(), N);
-  for (const auto &[Index, RT] : Ref) {
-    const WireResponse &RP = Got.at(Index);
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  ASSERT_EQ(Got.Answered, N);
+  for (uint64_t Index = 0; Index != N; ++Index) {
+    const WireResponse &RT = *Ref.Responses[Index];
+    const WireResponse &RP = *Got.Responses[Index];
     EXPECT_EQ(RP.Status, RT.Status) << Index;
     EXPECT_EQ(RP.ReturnValue, RT.ReturnValue) << Index;
     EXPECT_EQ(RP.Steps, RT.Steps) << Index;
@@ -196,13 +188,14 @@ TEST(ShardProcessTest, ExhaustedRestartBudgetPoisonsInFlightWithExactBooks) {
   SocketServer Server(M, SO);
   std::string Err;
   ASSERT_TRUE(Server.start(&Err)) << Err;
-  std::map<uint64_t, WireResponse> Got = serveAll(Server.port(), N);
+  PipelineResult Got = pipelineRequests(Server.port(), N, allAtOnce(N));
   DrainReport Rep = Server.drain();
 
-  ASSERT_EQ(Got.size(), N);
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  ASSERT_EQ(Got.Answered, N);
   uint64_t Ok = 0, Poisoned = 0, Shed = 0;
-  for (const auto &[Index, R] : Got) {
-    switch (R.Status) {
+  for (const std::optional<WireResponse> &R : Got.Responses) {
+    switch (R->Status) {
     case WireStatus::Ok:
       ++Ok;
       break;
@@ -213,7 +206,7 @@ TEST(ShardProcessTest, ExhaustedRestartBudgetPoisonsInFlightWithExactBooks) {
       ++Shed;
       break;
     default:
-      ADD_FAILURE() << "unexpected status for " << Index;
+      ADD_FAILURE() << "unexpected status for " << R->Index;
     }
   }
   (void)Ok; // how many served before the kill is scheduling-dependent

@@ -23,7 +23,6 @@
 #include "gtest/gtest.h"
 
 #include <chrono>
-#include <map>
 #include <thread>
 
 using namespace smokestack;
@@ -78,26 +77,11 @@ ServerOptions randServerOptions(unsigned Shards) {
   return Opts;
 }
 
-/// Sends indices [0, N) pipelined on one connection and returns the
-/// responses keyed by index (completion order is scheduling-dependent).
-std::map<uint64_t, WireResponse> serveAll(uint16_t Port, uint64_t N) {
-  BlockingClient Client;
-  EXPECT_TRUE(Client.connectTo(Port));
-  for (uint64_t I = 0; I != N; ++I) {
-    WireRequest Req;
-    Req.Index = I;
-    EXPECT_TRUE(Client.sendRequest(Req));
-  }
-  std::map<uint64_t, WireResponse> ByIndex;
-  for (uint64_t I = 0; I != N; ++I) {
-    WireResponse R;
-    if (!Client.recvResponse(R)) {
-      ADD_FAILURE() << "response " << I << " never arrived";
-      break;
-    }
-    ByIndex[R.Index] = R;
-  }
-  return ByIndex;
+/// All N requests in flight at once on one connection.
+PipelineOptions allAtOnce(uint64_t N) {
+  PipelineOptions Opts;
+  Opts.Window = N;
+  return Opts;
 }
 
 TEST(SocketServerTest, RoundTripMatchesInProcessPool) {
@@ -120,11 +104,12 @@ TEST(SocketServerTest, RoundTripMatchesInProcessPool) {
   SocketServer Server(M, randServerOptions(1));
   std::string Err;
   ASSERT_TRUE(Server.start(&Err)) << Err;
-  std::map<uint64_t, WireResponse> Got = serveAll(Server.port(), N);
+  PipelineResult Got = pipelineRequests(Server.port(), N, allAtOnce(N));
 
-  ASSERT_EQ(Got.size(), N);
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  ASSERT_EQ(Got.Answered, N);
   for (const PoolOutcome &O : Expected) {
-    const WireResponse &R = Got.at(O.Index);
+    const WireResponse &R = *Got.Responses[O.Index];
     EXPECT_EQ(R.Status, WireStatus::Ok) << O.Index;
     EXPECT_EQ(R.Trap, TrapKind::None) << O.Index;
     EXPECT_EQ(R.ReturnValue, O.ReturnValue) << O.Index;
@@ -156,14 +141,15 @@ TEST(SocketServerTest, ShardCountIsInvisibleToResults) {
   Module M("net");
   buildRandModule(M);
 
-  std::map<uint64_t, WireResponse> PerShardCount[3];
+  PipelineResult PerShardCount[3];
   DrainReport Reports[3];
   const unsigned ShardCounts[] = {1, 2, 4};
   for (unsigned S = 0; S != 3; ++S) {
     SocketServer Server(M, randServerOptions(ShardCounts[S]));
     std::string Err;
     ASSERT_TRUE(Server.start(&Err)) << Err;
-    PerShardCount[S] = serveAll(Server.port(), N);
+    PerShardCount[S] = pipelineRequests(Server.port(), N, allAtOnce(N));
+    ASSERT_TRUE(PerShardCount[S].Ok) << PerShardCount[S].Error;
     Reports[S] = Server.drain();
     ASSERT_TRUE(Reports[S].Clean);
     ASSERT_TRUE(Reports[S].IdentityOk);
@@ -171,9 +157,10 @@ TEST(SocketServerTest, ShardCountIsInvisibleToResults) {
   }
 
   for (unsigned S = 1; S != 3; ++S) {
-    ASSERT_EQ(PerShardCount[S].size(), PerShardCount[0].size());
-    for (const auto &[Index, R0] : PerShardCount[0]) {
-      const WireResponse &RS = PerShardCount[S].at(Index);
+    ASSERT_EQ(PerShardCount[S].Answered, N);
+    for (uint64_t Index = 0; Index != N; ++Index) {
+      const WireResponse &R0 = *PerShardCount[0].Responses[Index];
+      const WireResponse &RS = *PerShardCount[S].Responses[Index];
       EXPECT_EQ(RS.Status, R0.Status) << Index;
       EXPECT_EQ(RS.ReturnValue, R0.ReturnValue) << Index;
       EXPECT_EQ(RS.Steps, R0.Steps) << Index;
@@ -519,12 +506,86 @@ TEST(SocketServerTest, DrainIsIdempotent) {
   SocketServer Server(M, randServerOptions(2));
   std::string Err;
   ASSERT_TRUE(Server.start(&Err)) << Err;
-  serveAll(Server.port(), 8);
+  EXPECT_TRUE(pipelineRequests(Server.port(), 8).Ok);
   DrainReport A = Server.drain();
   DrainReport B = Server.drain();
   EXPECT_EQ(A.Net.FramesDecoded, B.Net.FramesDecoded);
   EXPECT_EQ(A.Outcomes.size(), B.Outcomes.size());
   EXPECT_TRUE(B.IdentityOk);
+}
+
+TEST(SocketServerTest, PipelineWindowedOverThreeConnectionsMatchesOneShot) {
+  // Three connections with two requests in flight each must get every
+  // index exactly once, with the same responses as one connection that
+  // sends everything up front.
+  constexpr uint64_t N = 40;
+  Module M("net");
+  buildRandModule(M);
+
+  SocketServer RefServer(M, randServerOptions(2));
+  std::string Err;
+  ASSERT_TRUE(RefServer.start(&Err)) << Err;
+  PipelineResult Ref = pipelineRequests(RefServer.port(), N, allAtOnce(N));
+  RefServer.drain();
+  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+
+  SocketServer Server(M, randServerOptions(2));
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+  PipelineOptions Windowed;
+  Windowed.Connections = 3;
+  Windowed.Window = 2;
+  PipelineResult Got = pipelineRequests(Server.port(), N, Windowed);
+  DrainReport Rep = Server.drain();
+
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  EXPECT_EQ(Got.Sent, N);
+  EXPECT_EQ(Got.Answered, N);
+  EXPECT_EQ(Rep.Net.RequestsAdmitted, N);
+  EXPECT_EQ(Rep.Net.ResponsesDelivered, N);
+  ASSERT_EQ(Got.Responses.size(), N);
+  for (uint64_t I = 0; I != N; ++I) {
+    ASSERT_TRUE(Got.Responses[I]) << I;
+    const WireResponse &R = *Got.Responses[I];
+    const WireResponse &E = *Ref.Responses[I];
+    EXPECT_EQ(R.Index, I);
+    EXPECT_EQ(R.Status, E.Status) << I;
+    EXPECT_EQ(R.ReturnValue, E.ReturnValue) << I;
+    EXPECT_EQ(R.Steps, E.Steps) << I;
+    EXPECT_EQ(R.Attempts, E.Attempts) << I;
+  }
+}
+
+TEST(SocketServerTest, PipelineFailsWithinItsTimeout) {
+  // A request that never answers fails the load once the receive budget
+  // runs out, not later; the drain then shoots the hung request.
+  Module M("net");
+  buildSpinModule(M, ~0ULL >> 8);
+  ServerOptions Opts;
+  Opts.Shards = 1;
+  Opts.Pool.Workers = 1;
+  Opts.Pool.Function = "spin";
+  Opts.Pool.InterpOpts.Fuel = 1ULL << 62;
+  Opts.DrainTimeoutMillis = 100;
+  SocketServer Server(M, Opts);
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+
+  constexpr unsigned Budget = 300;
+  PipelineOptions Load;
+  Load.TimeoutMillis = Budget;
+  auto Begin = std::chrono::steady_clock::now();
+  PipelineResult Got = pipelineRequests(Server.port(), 1, Load);
+  auto Waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - Begin);
+  Server.drain();
+
+  EXPECT_FALSE(Got.Ok);
+  EXPECT_FALSE(Got.Error.empty());
+  EXPECT_EQ(Got.Sent, 1u);
+  EXPECT_EQ(Got.Answered, 0u);
+  EXPECT_FALSE(Got.Responses[0]);
+  EXPECT_GE(Waited.count(), int64_t(Budget) - 50);
+  EXPECT_LT(Waited.count(), int64_t(Budget) + 2000);
 }
 
 } // namespace

@@ -35,7 +35,9 @@
 ///                            per-request attempt budget and quarantine on
 ///                            exhaustion. The exact accounting identity
 ///                            (submitted == completed + shed + poisoned)
-///                            is verified; a violation exits nonzero.
+///                            is verified; a violation exits 3. A
+///                            quarantine is booked, not failed: pool and
+///                            serve runs exit 1 only when a request traps
 ///     -serve                 serve -run over loopback TCP through the
 ///                            epoll socket front-end (net/SocketServer.h)
 ///                            instead of submitting to the pool directly;
@@ -72,6 +74,10 @@
 ///                            (fault, degradation, VM bookkeeping) after
 ///                            execution
 ///
+/// Numbers are decimal or 0x-hex and must be whole: a malformed value
+/// ("10k", "abc", "-1", a rate outside [0,1]) or an unknown -rng/-engine/
+/// -shard-mode name prints a diagnostic and the usage line, exit code 2.
+///
 /// Example:
 ///   smokestack-opt -smokestack -run=main -rng=aes10 program.ir
 ///
@@ -83,25 +89,28 @@
 #include "faults/FaultInjector.h"
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
-#include "jit/JitAbi.h"
 #include "net/Client.h"
 #include "net/SocketServer.h"
 #include "obs/MetricsRegistry.h"
 #include "obs/Trace.h"
 #include "rng/AesCtr.h"
-#include "rng/Pseudo.h"
 #include "rng/RdRand.h"
 #include "rng/Resilient.h"
+#include "rng/Schemes.h"
 #include "runtime/WorkerPool.h"
+#include "support/CommandLine.h"
 #include "support/RawStream.h"
 #include "support/Statistics.h"
+#include "vm/Engine.h"
 #include "vm/Interpreter.h"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -110,10 +119,10 @@ using namespace smokestack;
 namespace {
 
 struct Options {
-  std::vector<std::string> PassSpecs;
+  PassManager Passes;
   std::string RunFunction;
-  std::string RngScheme = "aes10";
-  std::string Engine = "decoded";
+  const RngScheme *Scheme = findRngScheme("aes10");
+  VmEngine Engine = VmEngine::Decoded;
   std::vector<std::string> Inputs;
   std::string InputFile;
   bool Print = false;
@@ -124,17 +133,15 @@ struct Options {
   uint64_t FaultSeed = 0;
   double FaultRate = 0.0;
   bool Pool = false;
-  unsigned Workers = 1;
   uint64_t PoolRequests = 1;
-  uint64_t PoolSeed = 7;
   bool Chaos = false;
   double ChaosRate = 0.0;
   bool Serve = false;
-  unsigned Shards = 1;
-  ShardMode Mode = ShardMode::Thread;
-  unsigned DrainTimeoutMillis = 5000;
   uint64_t Fuel = 0; ///< 0 = interpreter default.
   std::string MetricsFile;
+  /// -workers, -seed, -shards, -shard-mode and -drain-timeout land here
+  /// directly; the pool and serve modes run under it.
+  ServerOptions Serving;
 };
 
 /// The SIGTERM → requestStop() bridge for -serve. requestStop() is
@@ -147,9 +154,15 @@ void onSigTerm(int) {
     ServeInstance->requestStop();
 }
 
-/// Writes \p Registry to \p Path (Prometheus text) and \p Path.json.
-/// Returns false (with a diagnostic) when either write fails.
-bool writeMetrics(const MetricsRegistry &Registry, const std::string &Path) {
+/// -metrics=PATH: exports every counter plus \p Sources' books to \p Path
+/// (Prometheus text) and \p Path.json. True when there is no PATH; false
+/// (with a diagnostic) when either write fails.
+template <typename... Books>
+bool writeMetrics(const std::string &Path, const Books &...Sources) {
+  if (Path.empty())
+    return true;
+  MetricsRegistry Registry;
+  (Sources.exportMetrics(Registry), ...);
   struct Target {
     std::string Path;
     std::string Content;
@@ -173,7 +186,7 @@ int usage(const char *Argv0) {
                "usage: %s [-smokestack] [-static-perm[=SEED]] "
                "[-entry-pad[=SEED]] [-canary[=GUARD]]\n"
                "          [-run=FUNC] [-rng=pseudo|aes1|aes10|rdrand] "
-               "[-engine=jit|decoded|treewalk]\n"
+               "[-engine=%s]\n"
                "          [-resilient] [-faults=SEED:RATE]\n"
                "          [-workers=N] [-requests=M] [-seed=S] "
                "[-chaos=RATE] [-metrics=FILE]\n"
@@ -181,28 +194,46 @@ int usage(const char *Argv0) {
                "[-drain-timeout=MS] [-fuel=N]\n"
                "          [-input=TEXT]... [-print] [-verify] [-stats] "
                "<file.ir|->\n",
-               Argv0);
+               Argv0, VmEngineChoices);
   return 2;
 }
 
-std::unique_ptr<RandomSource> makeRng(const std::string &Scheme,
-                                      EntropySource &Entropy) {
-  if (Scheme == "pseudo")
-    return std::make_unique<PseudoRandomSource>(Entropy);
-  if (Scheme == "aes1")
-    return std::make_unique<AesCtrRandomSource>(Entropy, 1);
-  if (Scheme == "aes10")
-    return std::make_unique<AesCtrRandomSource>(Entropy, 10);
-  if (Scheme == "rdrand")
-    return std::make_unique<RdRandSource>(Entropy);
-  return nullptr;
+/// Matches a pass flag spelled "NAME" or "NAME=VALUE": false when \p Arg
+/// is neither; otherwise \p Value is VALUE, or \p Default for the bare
+/// flag, and \p Ok is false on a malformed VALUE.
+bool passFlag(const char *Arg, const char *Name, uint64_t Default,
+              uint64_t &Value, bool &Ok) {
+  Value = Default;
+  const char *Rest = flagValue(Arg, Name);
+  if (!Rest || (*Rest && *Rest != '='))
+    return false;
+  Ok = !*Rest || parseU64(Rest + 1, Value);
+  return true;
 }
 
-uint64_t specSeed(const std::string &Spec, uint64_t Default) {
-  size_t Eq = Spec.find('=');
-  if (Eq == std::string::npos)
-    return Default;
-  return std::strtoull(Spec.c_str() + Eq + 1, nullptr, 0);
+/// Parses the SEED:RATE of -faults=.
+bool parseFaultSpec(const char *Spec, uint64_t &Seed, double &Rate) {
+  const char *Colon = std::strchr(Spec, ':');
+  return Colon && parseU64(std::string(Spec, Colon).c_str(), Seed) &&
+         parseRate(Colon + 1, Rate);
+}
+
+/// The -faults script, shared by the pool's per-request template and the
+/// single VM's plan: DRNG step failures and rekey-entropy exhaustion at
+/// \p Rate, AES-NI loss at a quarter of it.
+void scriptFaults(double Rate, FaultPlan &Plan) {
+  Plan.site(FaultSite::RdRandStep) = {Rate, RdRandSource::RetryLimit, 0};
+  Plan.site(FaultSite::RekeyEntropy) = {Rate, 1, 0};
+  Plan.site(FaultSite::AesNiPresence) = {Rate / 4, 1, 0};
+}
+
+/// The -stats dump of every nonzero counter after a run.
+void printCounters() {
+  std::printf("counters:\n");
+  for (const Statistic *S : allStatistics())
+    if (S->value() != 0)
+      std::printf("  %10llu %-28s %s\n", (unsigned long long)S->value(),
+                  S->name(), S->description());
 }
 
 } // namespace
@@ -210,91 +241,74 @@ uint64_t specSeed(const std::string &Spec, uint64_t Default) {
 int main(int argc, char **argv) {
   Options Opts;
   for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg == "-smokestack" || Arg.rfind("-static-perm", 0) == 0 ||
-        Arg.rfind("-entry-pad", 0) == 0 || Arg.rfind("-canary", 0) == 0) {
-      Opts.PassSpecs.push_back(Arg);
-    } else if (Arg.rfind("-run=", 0) == 0) {
-      Opts.RunFunction = Arg.substr(5);
-    } else if (Arg.rfind("-rng=", 0) == 0) {
-      Opts.RngScheme = Arg.substr(5);
-    } else if (Arg.rfind("-engine=", 0) == 0) {
-      Opts.Engine = Arg.substr(8);
-    } else if (Arg.rfind("-input=", 0) == 0) {
-      Opts.Inputs.push_back(Arg.substr(7));
-    } else if (Arg.rfind("-workers=", 0) == 0) {
+    const char *Arg = argv[I];
+    const char *V = nullptr;
+    uint64_t Seed = 0;
+    bool Ok = true;
+    if (std::strcmp(Arg, "-smokestack") == 0) {
+      Opts.Passes.addPass(std::make_unique<SmokestackPass>());
+    } else if (passFlag(Arg, "-static-perm", 1, Seed, Ok)) {
+      Opts.Passes.addPass(std::make_unique<StaticPermutationPass>(Seed));
+    } else if (passFlag(Arg, "-entry-pad", 1, Seed, Ok)) {
+      Opts.Passes.addPass(std::make_unique<EntryPaddingPass>(Seed));
+    } else if (passFlag(Arg, "-canary", 0x00ff1234cafe0000ULL, Seed, Ok)) {
+      Opts.Passes.addPass(std::make_unique<StackCanaryPass>(Seed));
+    } else if ((V = flagValue(Arg, "-run="))) {
+      Opts.RunFunction = V;
+    } else if ((V = flagValue(Arg, "-rng="))) {
+      Ok = (Opts.Scheme = findRngScheme(V)) != nullptr;
+    } else if ((V = flagValue(Arg, "-engine="))) {
+      Ok = parseEngine(V, Opts.Engine);
+    } else if ((V = flagValue(Arg, "-input="))) {
+      Opts.Inputs.push_back(V);
+    } else if ((V = flagValue(Arg, "-workers="))) {
       Opts.Pool = true;
-      Opts.Workers =
-          static_cast<unsigned>(std::strtoul(Arg.c_str() + 9, nullptr, 0));
-    } else if (Arg.rfind("-requests=", 0) == 0) {
-      Opts.PoolRequests = std::strtoull(Arg.c_str() + 10, nullptr, 0);
-    } else if (Arg.rfind("-seed=", 0) == 0) {
-      Opts.PoolSeed = std::strtoull(Arg.c_str() + 6, nullptr, 0);
-    } else if (Arg.rfind("-chaos=", 0) == 0) {
-      double Rate = std::strtod(Arg.c_str() + 7, nullptr);
-      if (Rate < 0.0 || Rate > 1.0) {
-        std::fprintf(stderr, "bad -chaos rate '%s' (want [0,1])\n",
-                     Arg.c_str());
-        return usage(argv[0]);
-      }
+      Ok = parseUnsigned(V, Opts.Serving.Pool.Workers);
+    } else if ((V = flagValue(Arg, "-requests="))) {
+      Ok = parseU64(V, Opts.PoolRequests);
+    } else if ((V = flagValue(Arg, "-seed="))) {
+      Ok = parseU64(V, Opts.Serving.Pool.RootSeed);
+    } else if ((V = flagValue(Arg, "-chaos="))) {
       Opts.Chaos = true;
-      Opts.ChaosRate = Rate;
-    } else if (Arg == "-serve") {
+      Ok = parseRate(V, Opts.ChaosRate);
+    } else if (std::strcmp(Arg, "-serve") == 0) {
       Opts.Serve = true;
-    } else if (Arg.rfind("-shards=", 0) == 0) {
-      Opts.Shards =
-          static_cast<unsigned>(std::strtoul(Arg.c_str() + 8, nullptr, 0));
-    } else if (Arg.rfind("-shard-mode=", 0) == 0) {
-      std::string Mode = Arg.substr(12);
-      if (Mode == "thread") {
-        Opts.Mode = ShardMode::Thread;
-      } else if (Mode == "process") {
-        Opts.Mode = ShardMode::Process;
-      } else {
-        std::fprintf(stderr, "error: unknown -shard-mode=%s "
-                             "(thread|process)\n",
-                     Mode.c_str());
-        return usage(argv[0]);
-      }
-    } else if (Arg.rfind("-drain-timeout=", 0) == 0 ||
-               Arg.rfind("--drain-timeout=", 0) == 0) {
-      Opts.DrainTimeoutMillis = static_cast<unsigned>(
-          std::strtoul(Arg.c_str() + Arg.find('=') + 1, nullptr, 0));
-    } else if (Arg.rfind("-fuel=", 0) == 0) {
-      Opts.Fuel = std::strtoull(Arg.c_str() + 6, nullptr, 0);
-    } else if (Arg == "-resilient") {
+    } else if ((V = flagValue(Arg, "-shards="))) {
+      Ok = parseUnsigned(V, Opts.Serving.Shards);
+    } else if ((V = flagValue(Arg, "-shard-mode="))) {
+      bool Process = std::strcmp(V, "process") == 0;
+      Ok = Process || std::strcmp(V, "thread") == 0;
+      Opts.Serving.Mode = Process ? ShardMode::Process : ShardMode::Thread;
+    } else if ((V = flagValue(Arg, "-drain-timeout=")) ||
+               (V = flagValue(Arg, "--drain-timeout="))) {
+      Ok = parseUnsigned(V, Opts.Serving.DrainTimeoutMillis);
+    } else if ((V = flagValue(Arg, "-fuel="))) {
+      Ok = parseU64(V, Opts.Fuel);
+    } else if (std::strcmp(Arg, "-resilient") == 0) {
       Opts.Resilient = true;
-    } else if (Arg.rfind("-faults=", 0) == 0) {
-      unsigned long long Seed = 0;
-      double Rate = 0.0;
-      if (std::sscanf(Arg.c_str() + 8, "%llu:%lf", &Seed, &Rate) != 2 ||
-          Rate < 0.0 || Rate > 1.0) {
-        std::fprintf(stderr, "bad -faults spec '%s' (want SEED:RATE)\n",
-                     Arg.c_str());
-        return usage(argv[0]);
-      }
+    } else if ((V = flagValue(Arg, "-faults="))) {
       Opts.Faults = true;
-      Opts.FaultSeed = Seed;
-      Opts.FaultRate = Rate;
-    } else if (Arg.rfind("-metrics=", 0) == 0) {
-      Opts.MetricsFile = Arg.substr(9);
-      if (Opts.MetricsFile.empty()) {
-        std::fprintf(stderr, "bad -metrics spec (want -metrics=FILE)\n");
-        return usage(argv[0]);
-      }
-    } else if (Arg == "-print") {
+      Ok = parseFaultSpec(V, Opts.FaultSeed, Opts.FaultRate);
+    } else if ((V = flagValue(Arg, "-metrics="))) {
+      Opts.MetricsFile = V;
+      Ok = !Opts.MetricsFile.empty();
+    } else if (std::strcmp(Arg, "-print") == 0) {
       Opts.Print = true;
-    } else if (Arg == "-verify") {
+    } else if (std::strcmp(Arg, "-verify") == 0) {
       Opts.Verify = true;
-    } else if (Arg == "-stats") {
+    } else if (std::strcmp(Arg, "-stats") == 0) {
       Opts.Stats = true;
-    } else if (Arg[0] == '-' && Arg != "-") {
-      std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
+    } else if (Arg[0] == '-' && Arg[1] != '\0') {
+      std::fprintf(stderr, "unknown option: %s\n", Arg);
       return usage(argv[0]);
     } else {
       if (!Opts.InputFile.empty())
         return usage(argv[0]);
       Opts.InputFile = Arg;
+    }
+    if (!Ok) {
+      std::fprintf(stderr, "error: malformed value in '%s'\n", Arg);
+      return usage(argv[0]);
     }
   }
   if (Opts.InputFile.empty())
@@ -336,20 +350,8 @@ int main(int argc, char **argv) {
   }
 
   // Apply the requested passes in order.
-  PassManager PM;
-  for (const std::string &Spec : Opts.PassSpecs) {
-    if (Spec == "-smokestack")
-      PM.addPass(std::make_unique<SmokestackPass>());
-    else if (Spec.rfind("-static-perm", 0) == 0)
-      PM.addPass(std::make_unique<StaticPermutationPass>(specSeed(Spec, 1)));
-    else if (Spec.rfind("-entry-pad", 0) == 0)
-      PM.addPass(std::make_unique<EntryPaddingPass>(specSeed(Spec, 1)));
-    else if (Spec.rfind("-canary", 0) == 0)
-      PM.addPass(std::make_unique<StackCanaryPass>(
-          specSeed(Spec, 0x00ff1234cafe0000ULL)));
-  }
-  if (PM.size())
-    PM.run(M);
+  if (Opts.Passes.size())
+    Opts.Passes.run(M);
 
   if (Opts.Stats && Opts.RunFunction.empty()) {
     RawFdOStream OS(stdout);
@@ -367,20 +369,9 @@ int main(int argc, char **argv) {
   }
 
   if (!Opts.RunFunction.empty()) {
-    if (Opts.Engine != "jit" && Opts.Engine != "decoded" &&
-        Opts.Engine != "treewalk") {
-      std::fprintf(stderr, "error: unknown engine '%s'\n", Opts.Engine.c_str());
-      return 1;
-    }
-    if (Opts.Engine == "jit" && !jitAvailable()) {
-      std::fprintf(stderr, "warning: JIT unavailable on this host; "
-                           "falling back to the decoded engine\n");
-      Opts.Engine = "decoded";
-    }
-
-    InterpreterOptions VMOpts;
-    VMOpts.UseDecodedEngine = Opts.Engine != "treewalk";
-    VMOpts.UseJit = Opts.Engine == "jit";
+    PoolOptions &PO = Opts.Serving.Pool;
+    InterpreterOptions &VMOpts = PO.InterpOpts;
+    setEngine(VMOpts, availableEngine(Opts.Engine));
     if (Opts.Fuel)
       VMOpts.Fuel = Opts.Fuel;
 
@@ -393,29 +384,13 @@ int main(int argc, char **argv) {
       // Pool mode: the WorkerPool owns per-request deterministic RNG
       // chains and per-request fault injectors, so -rng/-resilient (and
       // the -faults seed) are superseded by -seed.
-      PoolOptions PO;
-      PO.Workers = Opts.Workers;
-      PO.RootSeed = Opts.PoolSeed;
       PO.Function = Opts.RunFunction;
-      PO.InterpOpts = VMOpts;
       if (Opts.Faults) {
         PO.InjectFaults = true;
-        PO.FaultTemplate.site(FaultSite::RdRandStep) = {
-            Opts.FaultRate, RdRandSource::RetryLimit, 0};
-        PO.FaultTemplate.site(FaultSite::RekeyEntropy) = {Opts.FaultRate, 1,
-                                                          0};
-        PO.FaultTemplate.site(FaultSite::AesNiPresence) = {
-            Opts.FaultRate / 4, 1, 0};
+        scriptFaults(Opts.FaultRate, PO.FaultTemplate);
       }
-      if (Opts.Chaos) {
-        PO.InjectFaults = true;
-        PO.FaultTemplate.site(FaultSite::WorkerCrash) = {Opts.ChaosRate, 1,
-                                                         0};
-        PO.FaultTemplate.site(FaultSite::WorkerDeath) = {
-            Opts.ChaosRate / 5, 1, 0};
-        PO.Supervision.AttemptsMin = 2;
-        PO.Supervision.AttemptsMax = 4;
-      }
+      if (Opts.Chaos)
+        PO.scriptWorkerChaos(Opts.ChaosRate, Opts.ChaosRate / 5);
 
       std::vector<std::vector<uint8_t>> Records;
       for (const std::string &Input : Opts.Inputs)
@@ -429,11 +404,8 @@ int main(int argc, char **argv) {
         // Serve mode: the identical pool configuration behind the epoll
         // socket front-end, self-tested by an in-process loopback client
         // pipelining the same requests through the wire protocol.
-        ServerOptions SO;
-        SO.Shards = Opts.Shards ? Opts.Shards : 1;
-        SO.Mode = Opts.Mode;
-        SO.DrainTimeoutMillis = Opts.DrainTimeoutMillis;
-        SO.Pool = PO;
+        ServerOptions &SO = Opts.Serving;
+        SO.Shards = std::max(1u, SO.Shards);
         // Before any fork or socket write: SIGPIPE must be an errno and
         // the SIGCHLD fan-out handler must predate the first shard child.
         installServerSignalDefaults();
@@ -448,63 +420,39 @@ int main(int argc, char **argv) {
         std::printf("serve: listening on 127.0.0.1:%u (%u shards)\n",
                     Server.port(), SO.Shards);
 
-        BlockingClient Client;
-        uint64_t Sent = 0, Answered = 0, Ok = 0, Trapped = 0, Other = 0;
-        bool Stalled = false;
-        if (!Client.connectTo(Server.port(), &Err)) {
-          std::fprintf(stderr, "error: -serve self-connect: %s\n",
-                       Err.c_str());
-          Stalled = true;
-        }
-        constexpr uint64_t Window = 16;
-        while (!Stalled && Answered != Opts.PoolRequests &&
-               !Server.stopRequested()) {
-          while (Sent != Opts.PoolRequests && Sent - Answered < Window) {
-            WireRequest Req;
-            Req.Index = Sent;
-            Req.Inputs = Records;
-            if (!Client.sendRequest(Req)) {
-              Stalled = true;
-              break;
-            }
-            ++Sent;
-          }
-          if (Stalled)
-            break;
-          WireResponse Resp;
-          if (!Client.recvResponse(Resp, /*TimeoutMillis=*/2000)) {
-            // A request that never answers lands here; the drain below
-            // decides whether that is a timeout worth a nonzero exit.
-            Stalled = true;
-            break;
-          }
-          ++Answered;
-          if (Resp.Status == WireStatus::Ok)
-            ++Ok;
-          else if (Resp.Status == WireStatus::Trapped)
-            ++Trapped;
-          else
-            ++Other;
-        }
+        PipelineOptions Load;
+        Load.TimeoutMillis = 2000;
+        Load.Fill = [&](WireRequest &Req) { Req.Inputs = Records; };
+        Load.Stop = [&] { return Server.stopRequested(); };
+        PipelineResult Got =
+            pipelineRequests(Server.port(), Opts.PoolRequests, Load);
+        // A request that never answers stops the load here; the drain
+        // below decides whether that is a timeout worth exit code 4.
+        if (!Got.Ok)
+          std::fprintf(stderr, "serve: load stopped: %s\n",
+                       Got.Error.c_str());
+        uint64_t Ok = 0, Trapped = 0, Poisoned = 0, Other = 0;
+        for (const std::optional<WireResponse> &Resp : Got.Responses)
+          if (Resp)
+            ++(Resp->Status == WireStatus::Ok         ? Ok
+               : Resp->Status == WireStatus::Trapped  ? Trapped
+               : Resp->Status == WireStatus::Poisoned ? Poisoned
+                                                      : Other);
 
         DrainReport Rep = Server.drain();
         std::signal(SIGTERM, SIG_DFL);
         ServeInstance = nullptr;
 
         std::printf("serve: %u shards, %llu sent, %llu answered, %llu ok, "
-                    "%llu trapped, %llu other, %llu delivered\n",
-                    SO.Shards, (unsigned long long)Sent,
-                    (unsigned long long)Answered, (unsigned long long)Ok,
-                    (unsigned long long)Trapped, (unsigned long long)Other,
+                    "%llu trapped, %llu poisoned, %llu other, "
+                    "%llu delivered\n",
+                    SO.Shards, (unsigned long long)Got.Sent,
+                    (unsigned long long)Got.Answered, (unsigned long long)Ok,
+                    (unsigned long long)Trapped, (unsigned long long)Poisoned,
+                    (unsigned long long)Other,
                     (unsigned long long)Rep.Net.ResponsesDelivered);
-        if (!Opts.MetricsFile.empty()) {
-          MetricsRegistry Registry;
-          Rep.Pool.exportMetrics(Registry);
-          Rep.Net.exportMetrics(Registry);
-          Recorder.exportMetrics(Registry);
-          if (!writeMetrics(Registry, Opts.MetricsFile))
-            return 1;
-        }
+        if (!writeMetrics(Opts.MetricsFile, Rep.Pool, Rep.Net, Recorder))
+          return 1;
         if (!Rep.IdentityOk) {
           std::fprintf(stderr,
                        "error: wire accounting identity violated\n");
@@ -514,11 +462,13 @@ int main(int argc, char **argv) {
           std::fprintf(stderr,
                        "drain: TIMEOUT after %u ms; %llu in-flight "
                        "request(s) poisoned\n",
-                       Opts.DrainTimeoutMillis,
+                       SO.DrainTimeoutMillis,
                        (unsigned long long)Rep.Pool.Poisoned);
           return 4;
         }
-        return Trapped == 0 && Other == 0 && !Stalled ? 0 : 1;
+        // A quarantined request is the supervision contract at work (the
+        // identity above books it); a trap or a lost response fails.
+        return Trapped == 0 && Other == 0 && Got.Ok ? 0 : 1;
       }
 
       WorkerPool Pool(M, PO);
@@ -527,14 +477,15 @@ int main(int argc, char **argv) {
         Pool.submit({I, Records});
       std::vector<PoolOutcome> Outcomes = Pool.finish();
 
-      uint64_t Ok = 0, Trapped = 0;
+      uint64_t Ok = 0, Trapped = 0, Poisoned = 0;
       for (const PoolOutcome &O : Outcomes)
-        O.ok() ? ++Ok : ++Trapped;
+        ++(O.Poisoned ? Poisoned : O.ok() ? Ok : Trapped);
       const PoolBooks &B = Pool.books();
-      std::printf("pool: %u workers, %llu requests, %llu ok, %llu trapped\n",
-                  Pool.workerCount(),
-                  (unsigned long long)Outcomes.size(),
-                  (unsigned long long)Ok, (unsigned long long)Trapped);
+      std::printf("pool: %u workers, %llu requests, %llu ok, %llu trapped, "
+                  "%llu poisoned\n",
+                  Pool.workerCount(), (unsigned long long)Outcomes.size(),
+                  (unsigned long long)Ok, (unsigned long long)Trapped,
+                  (unsigned long long)Poisoned);
       if (Opts.Chaos)
         std::printf("supervision: %llu crashes contained, %llu deaths, "
                     "%llu restarts, %llu retries, %llu poisoned\n",
@@ -558,12 +509,7 @@ int main(int argc, char **argv) {
                     (long long)(int64_t)Outcomes.front().ReturnValue,
                     (unsigned long long)Outcomes.front().Steps);
       if (Opts.Stats) {
-        std::printf("counters:\n");
-        for (const Statistic *S : allStatistics())
-          if (S->value() != 0)
-            std::printf("  %10llu %-28s %s\n",
-                        (unsigned long long)S->value(), S->name(),
-                        S->description());
+        printCounters();
         std::printf("rng: pool chain (%llu draws, %llu degraded, "
                     "%llu fail-closed)\n",
                     (unsigned long long)B.Rng.DrawsServed,
@@ -574,13 +520,9 @@ int main(int argc, char **argv) {
                       (unsigned long long)B.totalInjectedProbes(),
                       (unsigned long long)B.totalInjectedEvents());
       }
-      if (!Opts.MetricsFile.empty()) {
-        MetricsRegistry Registry;
-        B.exportMetrics(Registry);
-        Recorder.exportMetrics(Registry);
-        if (!writeMetrics(Registry, Opts.MetricsFile))
-          return 1;
-      }
+      if (!writeMetrics(Opts.MetricsFile, B, Recorder))
+        return 1;
+      // As in serve mode, only a trap fails the run, not a quarantine.
       return Trapped == 0 ? 0 : 1;
     }
 
@@ -588,36 +530,24 @@ int main(int argc, char **argv) {
     // rekey entropy from probe one must be able to hit the initial keying.
     FaultPlan Plan;
     Plan.Seed = Opts.FaultSeed;
-    if (Opts.Faults) {
-      Plan.site(FaultSite::RdRandStep) = {Opts.FaultRate,
-                                          RdRandSource::RetryLimit, 0};
-      Plan.site(FaultSite::RekeyEntropy) = {Opts.FaultRate, 1, 0};
-      Plan.site(FaultSite::AesNiPresence) = {Opts.FaultRate / 4, 1, 0};
-    }
+    if (Opts.Faults)
+      scriptFaults(Opts.FaultRate, Plan);
     FaultInjector Injector(Plan);
     std::unique_ptr<FaultScope> Scope;
     if (Opts.Faults)
       Scope = std::make_unique<FaultScope>(Injector);
 
     SystemEntropySource Entropy;
-    std::unique_ptr<RandomSource> Rng = makeRng(Opts.RngScheme, Entropy);
-    if (!Rng) {
-      std::fprintf(stderr, "error: unknown rng scheme '%s'\n",
-                   Opts.RngScheme.c_str());
-      return 1;
-    }
+    std::unique_ptr<RandomSource> Rng = Opts.Scheme->Make(Entropy);
     std::unique_ptr<RandomSource> Fallback;
-    std::unique_ptr<ResilientRandomSource> Resilient;
-    RandomSource *Active = Rng.get();
-    RandomSource *ChainStorage[2];
+    std::optional<ResilientRandomSource> Resilient;
+    RandomSource *Chain[] = {Rng.get(), nullptr};
     if (Opts.Resilient) {
       Fallback = std::make_unique<AesCtrRandomSource>(Entropy, 10);
-      ChainStorage[0] = Rng.get();
-      ChainStorage[1] = Fallback.get();
-      Resilient = std::make_unique<ResilientRandomSource>(
-          std::span<RandomSource *const>(ChainStorage, 2));
-      Active = Resilient.get();
+      Chain[1] = Fallback.get();
+      Resilient.emplace(Chain);
     }
+    RandomSource *Active = Resilient ? &*Resilient : Rng.get();
 
     Interpreter VM(M, Active, VMOpts);
     for (const std::string &Input : Opts.Inputs)
@@ -637,11 +567,7 @@ int main(int argc, char **argv) {
                   (unsigned long long)R.Steps);
     }
     if (Opts.Stats) {
-      std::printf("counters:\n");
-      for (const Statistic *S : allStatistics())
-        if (S->value() != 0)
-          std::printf("  %10llu %-28s %s\n", (unsigned long long)S->value(),
-                      S->name(), S->description());
+      printCounters();
       if (Resilient)
         std::printf("rng: %s (%llu draws, %llu degraded, %llu fail-closed)\n",
                     Resilient->name(),
@@ -658,12 +584,7 @@ int main(int argc, char **argv) {
                     (unsigned long long)Injector.totalInjectedEvents());
       }
     }
-    if (!Opts.MetricsFile.empty()) {
-      MetricsRegistry Registry;
-      if (!writeMetrics(Registry, Opts.MetricsFile))
-        return 1;
-    }
-    return Exit;
+    return writeMetrics(Opts.MetricsFile) ? Exit : 1;
   }
 
   // Default action: print.
