@@ -25,18 +25,21 @@
 ///
 /// Flags: -seed=N -specs=N -budget=N -json=PATH -no-rerun -spec=K
 /// (-spec=K replays one spec against every defense and prints the detail).
+/// Numbers are decimal or 0x-hex and must be whole (support/CommandLine.h):
+/// a malformed value prints a diagnostic and the usage line, exit code 2.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "attacks/compiler/Corpus.h"
 #include "attacks/compiler/SpecGen.h"
 #include "obs/JsonWriter.h"
+#include "support/CommandLine.h"
 
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 using namespace smokestack;
@@ -104,39 +107,46 @@ bool writeJson(const std::string &Path, const AttackCorpusResult &Result,
   return false;
 }
 
+int usage() {
+  std::fprintf(stderr, "usage: attack_corpus [-seed=N] [-specs=N] [-budget=N] "
+                       "[-json=PATH] [-no-rerun] [-spec=K]\n");
+  return 2;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
   AttackCorpusOptions Options;
   std::string JsonPath;
   bool Rerun = true;
-  long SpecToReplay = -1;
+  std::optional<unsigned> SpecToReplay;
 
   for (int I = 1; I != Argc; ++I) {
     const char *Arg = Argv[I];
-    if (std::strncmp(Arg, "-seed=", 6) == 0)
-      Options.RootSeed = std::strtoull(Arg + 6, nullptr, 0);
-    else if (std::strncmp(Arg, "-specs=", 7) == 0)
-      Options.SpecCount = unsigned(std::strtoul(Arg + 7, nullptr, 0));
-    else if (std::strncmp(Arg, "-budget=", 8) == 0)
-      Options.Budget = unsigned(std::strtoul(Arg + 8, nullptr, 0));
-    else if (std::strncmp(Arg, "-json=", 6) == 0)
-      JsonPath = Arg + 6;
+    const char *V;
+    bool Ok = true;
+    if ((V = flagValue(Arg, "-seed=")))
+      Ok = parseU64(V, Options.RootSeed);
+    else if ((V = flagValue(Arg, "-specs=")))
+      Ok = parseUnsigned(V, Options.SpecCount);
+    else if ((V = flagValue(Arg, "-budget=")))
+      Ok = parseUnsigned(V, Options.Budget);
+    else if ((V = flagValue(Arg, "-spec=")))
+      Ok = parseUnsigned(V, SpecToReplay.emplace());
+    else if ((V = flagValue(Arg, "-json=")))
+      JsonPath = V;
     else if (std::strcmp(Arg, "-no-rerun") == 0)
       Rerun = false;
-    else if (std::strncmp(Arg, "-spec=", 6) == 0)
-      SpecToReplay = std::strtol(Arg + 6, nullptr, 0);
-    else {
-      std::fprintf(stderr,
-                   "usage: attack_corpus [-seed=N] [-specs=N] [-budget=N] "
-                   "[-json=PATH] [-no-rerun] [-spec=K]\n");
-      return 2;
+    else
+      return usage();
+    if (!Ok) {
+      std::fprintf(stderr, "error: malformed value in '%s'\n", Arg);
+      return usage();
     }
   }
 
-  if (SpecToReplay >= 0)
-    return replayOneSpec(Options.RootSeed, uint32_t(SpecToReplay),
-                         Options.Budget);
+  if (SpecToReplay)
+    return replayOneSpec(Options.RootSeed, *SpecToReplay, Options.Budget);
 
   std::printf("attack corpus: seed=%" PRIu64 " specs=%u budget=%u\n",
               Options.RootSeed, Options.SpecCount, Options.Budget);

@@ -9,6 +9,7 @@
 #include "rng/Pseudo.h"
 #include "support/ErrorHandling.h"
 #include "support/Format.h"
+#include "vm/Snapshot.h"
 
 #include <cassert>
 #include <cstring>
@@ -71,15 +72,26 @@ uint64_t smokestack::predictPseudoDraw(const uint8_t DisclosedState[16],
   return Value;
 }
 
+namespace {
+
+/// Runs \p EntryFunc once on \p VM with a first-placement oracle attached
+/// and detaches it again: the disclosure probe on a caller-owned VM.
+LayoutOracle probeOn(Interpreter &VM, const std::string &EntryFunc) {
+  LayoutOracle Oracle(/*KeepFirst=*/true);
+  VM.setLayoutObserver(&Oracle);
+  VM.run(EntryFunc);
+  VM.setLayoutObserver(nullptr);
+  return Oracle;
+}
+
+} // namespace
+
 LayoutOracle smokestack::probeLayout(Module &M,
                                      const DeployedDefense &Deployed,
                                      RandomSource *Rng,
                                      const std::string &EntryFunc) {
-  LayoutOracle Oracle(/*KeepFirst=*/true);
   Interpreter ProbeVM(M, Rng, Deployed.InterpOpts);
-  ProbeVM.setLayoutObserver(&Oracle);
-  ProbeVM.run(EntryFunc);
-  return Oracle;
+  return probeOn(ProbeVM, EntryFunc);
 }
 
 SuccessTest smokestack::returns(uint64_t Value) {
@@ -95,7 +107,13 @@ AttackReport smokestack::runCampaign(Module &M,
                                      unsigned Budget,
                                      const ExploitLowering &Lower) {
   AttackReport Report;
-  std::optional<Exploit> E = Lower(probeLayout(M, Deployed, Rng, EntryFunc));
+  // One VM serves the whole campaign: every attempt restores the
+  // post-load snapshot, which is bitwise a freshly constructed VM
+  // (vm/Snapshot.h). Loading, capture and restore draw nothing from Rng,
+  // so the draw order is the probe's, then each attempt's.
+  Interpreter VM(M, Rng, Deployed.InterpOpts);
+  VmSnapshot Clean = VM.captureSnapshot();
+  std::optional<Exploit> E = Lower(probeOn(VM, EntryFunc));
   if (!E) {
     Report.Detail = "disclosed layout offers no reachable targets";
     return Report;
@@ -104,7 +122,7 @@ AttackReport smokestack::runCampaign(Module &M,
   TrapKind LastTrap = TrapKind::None;
   for (unsigned Attempt = 1; Attempt <= Budget; ++Attempt) {
     Report.AttemptsUsed = Attempt;
-    Interpreter VM(M, Rng, Deployed.InterpOpts);
+    VM.restoreFromSnapshot(Clean);
     for (const std::vector<uint8_t> &Record : E->Records)
       VM.pushInput(Record);
     ExecResult R = VM.run(EntryFunc);

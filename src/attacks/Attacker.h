@@ -143,11 +143,13 @@ using ExploitLowering =
 
 /// The probe-then-exploit campaign: probeLayout once, \p Lower once, then up
 /// to \p Budget fresh executions of \p EntryFunc fed the exploit's records.
-/// The probe draws from \p Rng first and each attempt after it; lowering
-/// draws nothing. Succeeded on the first attempt that lands; otherwise
-/// StoppedByTrap carrying the most recent trap if any attempt trapped,
-/// else MissedTarget. AttemptsUsed counts exploit runs, so a layout that
-/// does not lower reports MissedTarget with AttemptsUsed == 0.
+/// One Interpreter serves the campaign; each attempt restores its post-load
+/// snapshot, so it runs on a VM bitwise equal to a fresh one and the P-BOX
+/// is loaded once. The probe draws from \p Rng first and each attempt after
+/// it; lowering draws nothing. Succeeded on the first attempt that lands;
+/// otherwise StoppedByTrap carrying the most recent trap if any attempt
+/// trapped, else MissedTarget. AttemptsUsed counts exploit runs, so a
+/// layout that does not lower reports MissedTarget with AttemptsUsed == 0.
 AttackReport runCampaign(Module &M, const DeployedDefense &Deployed,
                          RandomSource *Rng, const std::string &EntryFunc,
                          unsigned Budget, const ExploitLowering &Lower);

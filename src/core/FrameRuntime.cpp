@@ -38,8 +38,7 @@ PBoxTable FrameDescriptor::buildTable(std::vector<AllocationSlot> &Slots,
   Canon = Sig.originalToCanonical();
   // Same rows as the pass's P-BOX: exhaustive up to MaxExhaustiveSlots
   // (identifier included), sampled past it.
-  return PBoxTable(Sig, PBox::buildRows(Sig, Opts), Opts.PowerOfTwoRows,
-                   Opts.ShuffleSeed);
+  return PBoxTable(Sig, Opts, Opts.ShuffleSeed);
 }
 
 FrameDescriptor::FrameDescriptor(std::vector<AllocationSlot> Slots,

@@ -55,8 +55,13 @@ struct PBoxOptions {
 /// One P-BOX table: NumRows layouts over NumSlots canonical slots.
 class PBoxTable {
 public:
-  PBoxTable(AllocationSignature Sig, std::vector<LayoutRow> Rows,
-            bool PadPowerOfTwo, uint64_t ShuffleSeed);
+  /// Builds \p Sig's rows straight into the row-major table: every
+  /// permutation up to Opts.MaxExhaustiveSlots slots, Opts.SampledRows
+  /// seeded samples past it; shuffled with \p ShuffleSeed and padded per
+  /// Opts.PowerOfTwoRows. Rows of the pass's P-BOX and of native frames
+  /// are built here and nowhere else.
+  PBoxTable(AllocationSignature Sig, const PBoxOptions &Opts,
+            uint64_t ShuffleSeed);
 
   const AllocationSignature &signature() const { return Sig; }
   unsigned numSlots() const { return NumSlots; }
@@ -84,8 +89,8 @@ public:
 
 private:
   AllocationSignature Sig;
-  std::vector<uint32_t> Flat;
   unsigned NumSlots;
+  std::vector<uint32_t> Flat;
   uint64_t NumRows;
   uint64_t RowMask = 0;
   uint64_t FrameSize;
@@ -117,12 +122,6 @@ public:
   /// Number of table-assignment requests answered by sharing an existing
   /// table (statistics for the ablation study).
   uint64_t shareHits() const { return ShareHits; }
-
-  /// The rows of \p Sig's table: every permutation up to
-  /// Opts.MaxExhaustiveSlots slots, Opts.SampledRows seeded samples past
-  /// it. The one row builder of both the pass's P-BOX and native frames.
-  static std::vector<LayoutRow> buildRows(const AllocationSignature &Sig,
-                                          const PBoxOptions &Opts);
 
 private:
   unsigned createTable(const AllocationSignature &Sig);

@@ -17,6 +17,8 @@
 #include "attacks/compiler/Corpus.h"
 #include "attacks/compiler/SpecGen.h"
 #include "ir/IRBuilder.h"
+#include "rng/AesCtr.h"
+#include "rng/Entropy.h"
 #include "rng/RandomSource.h"
 
 #include <gtest/gtest.h>
@@ -42,6 +44,23 @@ public:
   uint64_t next() override { return 0x9E3779B97F4A7C15ULL * ++Draws; }
   const char *name() const override { return "counting"; }
   SecurityLevel securityLevel() const override { return SecurityLevel::None; }
+  uint64_t Draws = 0;
+};
+
+/// Forwards to \p Inner and counts draws, so a test can tell which
+/// execution of a campaign a callback came from.
+class CountingForwarder : public RandomSource {
+public:
+  explicit CountingForwarder(RandomSource &Inner) : Inner(Inner) {}
+  uint64_t next() override {
+    ++Draws;
+    return Inner.next();
+  }
+  const char *name() const override { return "counting-forwarder"; }
+  SecurityLevel securityLevel() const override {
+    return Inner.securityLevel();
+  }
+  RandomSource &Inner;
   uint64_t Draws = 0;
 };
 
@@ -205,6 +224,73 @@ TEST(AttackCompilerTest, CampaignRulesOnTestLowerings) {
     EXPECT_EQ(R.AttemptsUsed, C.AttemptsUsed);
     EXPECT_EQ(Executions, C.AttemptsUsed + 1u);
   }
+}
+
+TEST(AttackCompilerTest, CampaignAttemptsMatchFreshInterpreters) {
+  // Every attempt of a Smokestack campaign must behave exactly as a freshly
+  // built Interpreter would over the same random stream. The record sets
+  // the divisor and overflows 8 bytes past it, so whether an attempt traps
+  // depends on the layout that attempt drew.
+  Module M("campaign-differential");
+  buildDivideVictim(M);
+  DeployedDefense Deployed = deployDefense(M, DefenseKind::Smokestack, 1);
+  Payload P(16, 0x41);
+  P.pokeInt(0, 4);
+  constexpr unsigned Budget = 16;
+  constexpr uint64_t Seed = 0x5eed'0015;
+
+  // Reference: the campaign replayed by hand on fresh VMs. A clean attempt
+  // is keyed by the draws made when it ended, which identifies it.
+  struct Clean {
+    uint64_t Draws;
+    uint64_t ReturnValue;
+    std::string Output;
+    bool operator==(const Clean &) const = default;
+  };
+  DeterministicEntropySource RefEntropy(Seed);
+  AesCtrRandomSource RefAes(RefEntropy, /*NumRounds=*/10);
+  CountingForwarder RefRng(RefAes);
+  LayoutOracle RefOracle = probeLayout(M, Deployed, &RefRng, "driver");
+  ASSERT_TRUE(RefOracle.knows("driver", "divisor"));
+  std::vector<Clean> WantClean;
+  TrapKind WantLastTrap = TrapKind::None;
+  unsigned Trapped = 0;
+  for (unsigned Attempt = 0; Attempt != Budget; ++Attempt) {
+    Interpreter VM(M, &RefRng, Deployed.InterpOpts);
+    VM.pushInput(P.bytes());
+    ExecResult R = VM.run("driver");
+    if (R.ok()) {
+      WantClean.push_back({RefRng.Draws, R.ReturnValue, VM.output()});
+    } else {
+      WantLastTrap = R.Trap;
+      ++Trapped;
+    }
+  }
+  ASSERT_GT(Trapped, 0u) << "the seed must make some attempts trap";
+  ASSERT_FALSE(WantClean.empty()) << "and some attempts run clean";
+
+  DeterministicEntropySource Entropy(Seed);
+  AesCtrRandomSource Aes(Entropy, /*NumRounds=*/10);
+  CountingForwarder Rng(Aes);
+  std::vector<Clean> GotClean;
+  AttackReport Report = runCampaign(
+      M, Deployed, &Rng, "driver", Budget,
+      [&](const LayoutOracle &Oracle) -> std::optional<Exploit> {
+        EXPECT_EQ(Oracle.addressOf("driver", "divisor"),
+                  RefOracle.addressOf("driver", "divisor"));
+        return Exploit{{P.bytes()},
+                       [&](uint64_t ReturnValue, const std::string &Output) {
+                         GotClean.push_back({Rng.Draws, ReturnValue, Output});
+                         return false;
+                       }};
+      });
+  EXPECT_TRUE(GotClean == WantClean)
+      << GotClean.size() << " vs " << WantClean.size() << " clean attempts";
+  EXPECT_EQ(Report.AttemptsUsed, Budget);
+  EXPECT_EQ(Report.Outcome, AttackOutcome::StoppedByTrap);
+  EXPECT_EQ(Report.Trap, WantLastTrap);
+  EXPECT_EQ(Rng.Draws, RefRng.Draws);
+  EXPECT_EQ(Aes.next(), RefAes.next()) << "both streams end at one point";
 }
 
 TEST(AttackCompilerTest, DirectAttackLandsUndefendedFirstTry) {

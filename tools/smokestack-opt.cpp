@@ -67,7 +67,8 @@
 ///                            enables obs timing (and, in pool mode,
 ///                            per-request span tracing), so latency
 ///                            histograms are populated
-///     -print                 print the final module (default unless -run)
+///     -print                 print the final module (default unless -run;
+///                            with -run, printed before the run's output)
 ///     -verify                verify and report instead of printing
 ///     -stats                 without -run: print the stack-usage analysis;
 ///                            with -run: also print every nonzero counter
@@ -368,6 +369,14 @@ int main(int argc, char **argv) {
     return Ok ? 0 : 1;
   }
 
+  // The final module: the default action without -run, and -print's
+  // output ahead of a run's. Flushed before any shard process forks.
+  if (Opts.Print || Opts.RunFunction.empty()) {
+    RawFdOStream OS(stdout);
+    M.print(OS);
+    OS.flush();
+  }
+
   if (!Opts.RunFunction.empty()) {
     PoolOptions &PO = Opts.Serving.Pool;
     InterpreterOptions &VMOpts = PO.InterpOpts;
@@ -586,9 +595,5 @@ int main(int argc, char **argv) {
     }
     return writeMetrics(Opts.MetricsFile) ? Exit : 1;
   }
-
-  // Default action: print.
-  RawFdOStream OS(stdout);
-  M.print(OS);
   return 0;
 }
