@@ -48,18 +48,6 @@ smokestack::decodePermutationLayout(uint64_t PIndex,
   return Row;
 }
 
-std::vector<LayoutRow> smokestack::generateAllPermutations(
-    const std::vector<AllocationSlot> &Slots) {
-  unsigned N = static_cast<unsigned>(Slots.size());
-  assert(N <= 10 && "exhaustive P_Table is only for small allocation sets");
-  uint64_t Count = factorial(N);
-  std::vector<LayoutRow> Table;
-  Table.reserve(Count);
-  for (uint64_t PIndex = 0; PIndex != Count; ++PIndex)
-    Table.push_back(decodePermutationLayout(PIndex, Slots));
-  return Table;
-}
-
 uint64_t smokestack::maxFrameSize(const std::vector<AllocationSlot> &Slots) {
   // Upper bound: every placement may waste at most (Align-1) padding bytes.
   // Exact for the worst permutation when alignments are powers of two and

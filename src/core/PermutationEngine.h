@@ -37,12 +37,6 @@ struct LayoutRow {
 LayoutRow decodePermutationLayout(uint64_t PIndex,
                                   const std::vector<AllocationSlot> &Slots);
 
-/// The full P_Table of Algorithm 1: all N! rows in lexical order.
-/// \p Slots.size() must be small enough that N! rows are storable (<= 8 in
-/// practice; asserts beyond 10).
-std::vector<LayoutRow>
-generateAllPermutations(const std::vector<AllocationSlot> &Slots);
-
 /// Frame bytes sufficient for every possible permutation of \p Slots
 /// (maximum TotalSize over all rows). For large N this is computed from a
 /// worst-case padding bound instead of enumeration.

@@ -6,6 +6,7 @@
 
 #include "core/PermutationEngine.h"
 
+#include "core/PBox.h"
 #include "support/Align.h"
 #include "support/MathExtras.h"
 
@@ -38,6 +39,27 @@ void expectSoundLayout(const LayoutRow &Row,
 
 std::vector<AllocationSlot> mixedSlots() {
   return {{8, 8, "a"}, {1, 1, "b"}, {4, 4, "c"}, {16, 8, "d"}};
+}
+
+/// The exhaustive P_Table the product ships: every row of \p Slots'
+/// unpadded PBoxTable, read back in \p Slots' own order with TotalSize
+/// set to the layout's end.
+std::vector<LayoutRow> tableRows(const std::vector<AllocationSlot> &Slots) {
+  PBoxOptions Opts;
+  Opts.PowerOfTwoRows = false;
+  AllocationSignature Sig(Slots);
+  PBoxTable Table(Sig, Opts, Opts.ShuffleSeed);
+  std::vector<LayoutRow> Rows(Table.numRows());
+  for (uint64_t R = 0; R != Table.numRows(); ++R) {
+    LayoutRow &Row = Rows[R];
+    Row.Offsets.resize(Slots.size());
+    for (size_t I = 0; I != Slots.size(); ++I) {
+      Row.Offsets[I] = Table.offsetAt(R, Sig.originalToCanonical()[I]);
+      Row.TotalSize = std::max(
+          Row.TotalSize, Row.Offsets[I] + static_cast<uint32_t>(Slots[I].Size));
+    }
+  }
+  return Rows;
 }
 
 } // namespace
@@ -95,7 +117,7 @@ INSTANTIATE_TEST_SUITE_P(SmallSizes, AllPermutationsSoundTest,
 
 TEST(PermutationEngineTest, MixedAlignmentsAllRowsSound) {
   std::vector<AllocationSlot> Slots = mixedSlots();
-  std::vector<LayoutRow> Table = generateAllPermutations(Slots);
+  std::vector<LayoutRow> Table = tableRows(Slots);
   ASSERT_EQ(Table.size(), factorial(4));
   for (const LayoutRow &Row : Table)
     expectSoundLayout(Row, Slots);
@@ -104,7 +126,7 @@ TEST(PermutationEngineTest, MixedAlignmentsAllRowsSound) {
 TEST(PermutationEngineTest, PaddingVariesAcrossPermutations) {
   // The paper notes alignment padding differs per permutation — an extra
   // entropy source. With mixed alignments, TotalSize must not be constant.
-  std::vector<LayoutRow> Table = generateAllPermutations(mixedSlots());
+  std::vector<LayoutRow> Table = tableRows(mixedSlots());
   std::set<uint32_t> Totals;
   for (const LayoutRow &Row : Table)
     Totals.insert(Row.TotalSize);
@@ -112,7 +134,7 @@ TEST(PermutationEngineTest, PaddingVariesAcrossPermutations) {
 }
 
 TEST(PermutationEngineTest, OffsetsDifferBetweenPermutations) {
-  std::vector<LayoutRow> Table = generateAllPermutations(mixedSlots());
+  std::vector<LayoutRow> Table = tableRows(mixedSlots());
   std::set<std::vector<uint32_t>> Unique;
   for (const LayoutRow &Row : Table)
     Unique.insert(Row.Offsets);
@@ -123,14 +145,34 @@ TEST(PermutationEngineTest, OffsetsDifferBetweenPermutations) {
 TEST(PermutationEngineTest, MaxFrameSizeBoundsAllRows) {
   std::vector<AllocationSlot> Slots = mixedSlots();
   uint64_t Bound = maxFrameSize(Slots);
-  for (const LayoutRow &Row : generateAllPermutations(Slots))
+  for (const LayoutRow &Row : tableRows(Slots))
     EXPECT_LE(Row.TotalSize, Bound);
 }
 
 TEST(PermutationEngineTest, SingleSlot) {
   std::vector<AllocationSlot> Slots = {{24, 8, "only"}};
-  std::vector<LayoutRow> Table = generateAllPermutations(Slots);
+  std::vector<LayoutRow> Table = tableRows(Slots);
   ASSERT_EQ(Table.size(), 1u);
   EXPECT_EQ(Table[0].Offsets[0], 0u);
   EXPECT_EQ(Table[0].TotalSize, 24u);
+}
+
+TEST(PermutationEngineTest, TableHoldsEveryAlgorithm1Row) {
+  // The flat builder enumerates with next_permutation and shuffles; as a
+  // multiset its rows must be exactly Algorithm 1's N! decoded layouts.
+  const std::vector<AllocationSlot> Pool = {
+      {8, 8, "a"}, {1, 1, "b"}, {4, 4, "c"},  {16, 8, "d"},
+      {2, 2, "e"}, {24, 8, "f"}, {3, 1, "g"}, {12, 4, "h"}};
+  auto Key = [](const LayoutRow &Row) {
+    return std::make_pair(Row.Offsets, Row.TotalSize);
+  };
+  for (size_t N = 1; N <= Pool.size(); ++N) {
+    std::vector<AllocationSlot> Slots(Pool.begin(), Pool.begin() + N);
+    std::multiset<std::pair<std::vector<uint32_t>, uint32_t>> Built, Decoded;
+    for (const LayoutRow &Row : tableRows(Slots))
+      Built.insert(Key(Row));
+    for (uint64_t Index = 0; Index != factorial(N); ++Index)
+      Decoded.insert(Key(decodePermutationLayout(Index, Slots)));
+    EXPECT_EQ(Built, Decoded) << N << " slots";
+  }
 }
