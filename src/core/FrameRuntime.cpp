@@ -37,8 +37,12 @@ PBoxTable FrameDescriptor::buildTable(std::vector<AllocationSlot> &Slots,
   AllocationSignature Sig(Slots);
   Canon = Sig.originalToCanonical();
   // Same rows as the pass's P-BOX: exhaustive up to MaxExhaustiveSlots
-  // (identifier included), sampled past it.
-  return PBoxTable(Sig, Opts, Opts.ShuffleSeed);
+  // (identifier included), sampled past it; built into rows this
+  // descriptor owns.
+  PBoxTable Table(Sig, Opts, Opts.ShuffleSeed);
+  Rows.resize(Table.numRows() * Table.numSlots());
+  Table.fill(Rows.data());
+  return Table;
 }
 
 FrameDescriptor::FrameDescriptor(std::vector<AllocationSlot> Slots,

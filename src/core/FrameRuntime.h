@@ -71,6 +71,9 @@ private:
   unsigned NumUserSlots;
   std::vector<unsigned> Canon;
   std::vector<uint32_t> BaselineOffsets;
+  /// The storage Table fills and reads (declared first: buildTable fills
+  /// it while Table is being initialized).
+  std::vector<uint32_t> Rows;
   PBoxTable Table;
   uint64_t FunctionId;
 };

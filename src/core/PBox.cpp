@@ -37,23 +37,27 @@ uint32_t placeRow(const std::vector<std::pair<uint64_t, uint64_t>> &Slots,
 
 PBoxTable::PBoxTable(AllocationSignature Signature, const PBoxOptions &Opts,
                      uint64_t ShuffleSeed)
-    : Sig(std::move(Signature)), NumSlots(Sig.size()) {
-  const std::vector<std::pair<uint64_t, uint64_t>> &Slots = Sig.slots();
-  bool Exhaustive = NumSlots <= Opts.MaxExhaustiveSlots;
+    : Sig(std::move(Signature)), NumSlots(Sig.size()),
+      Exhaustive(NumSlots <= Opts.MaxExhaustiveSlots),
+      SamplerSeed(Opts.ShuffleSeed ^ 0x9e3779b97f4a7c15ULL ^
+                  (uint64_t(NumSlots) << 32)),
+      ShuffleSeed(ShuffleSeed) {
   assert((!Exhaustive || NumSlots <= 10) &&
          "exhaustive P_Table is only for small allocation sets");
-  uint64_t RealRows = Exhaustive ? factorial(NumSlots) : Opts.SampledRows;
+  RealRows = Exhaustive ? factorial(NumSlots) : Opts.SampledRows;
   assert(RealRows != 0 && "a table needs at least one row");
   NumRows = Opts.PowerOfTwoRows ? nextPowerOf2(RealRows) : RealRows;
   if (isPowerOf2(NumRows))
     RowMask = NumRows - 1;
+}
 
-  Flat.resize(NumRows * NumSlots);
+void PBoxTable::fill(uint32_t *Dest) {
+  const std::vector<std::pair<uint64_t, uint64_t>> &Slots = Sig.slots();
   std::vector<unsigned> Perm(NumSlots);
   std::iota(Perm.begin(), Perm.end(), 0u);
   uint32_t MaxTotal = 0;
   auto Emit = [&](uint64_t I) {
-    MaxTotal = std::max(MaxTotal, placeRow(Slots, Perm, &Flat[I * NumSlots]));
+    MaxTotal = std::max(MaxTotal, placeRow(Slots, Perm, Dest + I * NumSlots));
   };
   if (Exhaustive) {
     // All N! rows in lexical order: next_permutation over distinct slot
@@ -67,8 +71,7 @@ PBoxTable::PBoxTable(AllocationSignature Signature, const PBoxOptions &Opts,
     // Large allocation sets: a uniform sample of permutations instead of
     // all N! (documented substitution), drawn with a seeded generator so
     // builds are reproducible.
-    SplitMix64 Sampler(Opts.ShuffleSeed ^ 0x9e3779b97f4a7c15ULL ^
-                       (uint64_t(NumSlots) << 32));
+    SplitMix64 Sampler(SamplerSeed);
     for (uint64_t I = 0; I != RealRows; ++I) {
       std::iota(Perm.begin(), Perm.end(), 0u);
       for (unsigned K = NumSlots; K > 1; --K)
@@ -80,19 +83,19 @@ PBoxTable::PBoxTable(AllocationSignature Signature, const PBoxOptions &Opts,
   // Permute the rows so adjacent indexes are not lexically correlated
   // (paper Section III-D, last step of table construction).
   SplitMix64 Shuffler(ShuffleSeed);
-  uint32_t *Rows = Flat.data();
   for (uint64_t I = RealRows; I > 1; --I) {
     uint64_t J = Shuffler.nextBounded(I);
     if (J != I - 1)
-      std::swap_ranges(Rows + (I - 1) * NumSlots, Rows + I * NumSlots,
-                       Rows + J * NumSlots);
+      std::swap_ranges(Dest + (I - 1) * NumSlots, Dest + I * NumSlots,
+                       Dest + J * NumSlots);
   }
 
   // Padding rows wrap around to the start — the paper's "wrapping around
   // indexes n! to the nearest power-of-2" (at most RealRows of them).
-  std::copy_n(Flat.begin(), (NumRows - RealRows) * NumSlots,
-              Flat.begin() + RealRows * NumSlots);
+  std::copy_n(Dest, (NumRows - RealRows) * NumSlots,
+              Dest + RealRows * NumSlots);
   FrameSize = alignTo(MaxTotal == 0 ? 16 : MaxTotal, 16);
+  Rows = Dest;
 }
 
 unsigned PBox::createTable(const AllocationSignature &Sig) {
@@ -146,19 +149,20 @@ uint64_t PBox::totalBytes() const {
   return Total;
 }
 
-std::vector<uint8_t>
-PBox::serialize(std::vector<uint64_t> &TableByteOffsets) const {
+std::vector<uint8_t> PBox::build(std::vector<uint64_t> &TableByteOffsets) {
   // The blob holds little-endian u32 offsets, which is the host's own
-  // layout of flat(): each table is one sized copy.
+  // layout of a table's rows, so each table fills its slice directly.
   static_assert(std::endian::native == std::endian::little,
-                "serialize copies host-order u32 offsets");
-  std::vector<uint8_t> Blob;
-  Blob.reserve(totalBytes());
+                "tables fill host-order u32 offsets into the blob");
+  std::vector<uint8_t> Blob(totalBytes());
   TableByteOffsets.clear();
+  uint64_t Offset = 0;
   for (const auto &Table : Tables) {
-    TableByteOffsets.push_back(Blob.size());
-    const auto *Bytes = reinterpret_cast<const uint8_t *>(Table->flat().data());
-    Blob.insert(Blob.end(), Bytes, Bytes + Table->byteSize());
+    TableByteOffsets.push_back(Offset);
+    // operator new aligns the blob for any scalar and every table is a
+    // whole number of u32s, so each slice is u32-aligned.
+    Table->fill(reinterpret_cast<uint32_t *>(Blob.data() + Offset));
+    Offset += Table->byteSize();
   }
   return Blob;
 }

@@ -33,8 +33,10 @@
 
 #include "core/PermutationEngine.h"
 
+#include <cassert>
 #include <map>
 #include <memory>
+#include <span>
 
 namespace smokestack {
 
@@ -53,15 +55,32 @@ struct PBoxOptions {
 };
 
 /// One P-BOX table: NumRows layouts over NumSlots canonical slots.
+///
+/// Construction plans the table's shape, so its byte size is known before
+/// any row exists; fill() then builds the rows into storage the caller
+/// provides. The pass fills every table in place in the P-BOX global's
+/// initializer (PBox::build), and a FrameDescriptor into rows it owns, so
+/// each row is written exactly once.
 class PBoxTable {
 public:
-  /// Builds \p Sig's rows straight into the row-major table: every
-  /// permutation up to Opts.MaxExhaustiveSlots slots, Opts.SampledRows
-  /// seeded samples past it; shuffled with \p ShuffleSeed and padded per
-  /// Opts.PowerOfTwoRows. Rows of the pass's P-BOX and of native frames
-  /// are built here and nowhere else.
+  /// Plans \p Sig's table: every permutation up to Opts.MaxExhaustiveSlots
+  /// slots, Opts.SampledRows seeded samples past it; shuffled with
+  /// \p ShuffleSeed and padded per Opts.PowerOfTwoRows.
   PBoxTable(AllocationSignature Sig, const PBoxOptions &Opts,
             uint64_t ShuffleSeed);
+
+  /// A table views the rows it filled, so a copy would alias its source's
+  /// storage; a move keeps the view valid whenever the storage moves with
+  /// it (a moved std::vector keeps its buffer).
+  PBoxTable(PBoxTable &&) = default;
+  PBoxTable(const PBoxTable &) = delete;
+  PBoxTable &operator=(const PBoxTable &) = delete;
+
+  /// Builds the planned rows straight into \p Dest (numRows() * numSlots()
+  /// host-order u32s, i.e. byteSize() bytes) and reads them from there
+  /// from now on, so \p Dest must outlive every row read. Rows of the
+  /// pass's P-BOX and of native frames are built here and nowhere else.
+  void fill(uint32_t *Dest);
 
   const AllocationSignature &signature() const { return Sig; }
   unsigned numSlots() const { return NumSlots; }
@@ -73,27 +92,38 @@ public:
   /// Bytes of one row in the serialized form (NumSlots * 4).
   uint64_t rowStride() const { return uint64_t(NumSlots) * 4; }
 
-  /// Frame bytes sufficient for every row, 16-byte aligned.
-  uint64_t frameSize() const { return FrameSize; }
+  /// Frame bytes sufficient for every row, 16-byte aligned (set by fill).
+  uint64_t frameSize() const {
+    assert(Rows && "the frame size is known once the rows are built");
+    return FrameSize;
+  }
 
   /// Offset of canonical slot \p Slot in row \p Row.
   uint32_t offsetAt(uint64_t Row, unsigned Slot) const {
-    return Flat[Row * NumSlots + Slot];
+    return Rows[Row * NumSlots + Slot];
   }
 
-  /// Serialized size in bytes.
-  uint64_t byteSize() const { return Flat.size() * sizeof(uint32_t); }
+  /// Serialized size in bytes, known from the plan.
+  uint64_t byteSize() const { return NumRows * rowStride(); }
 
   /// Raw row-major offsets (little-endian u32 each when serialized).
-  const std::vector<uint32_t> &flat() const { return Flat; }
+  std::span<const uint32_t> flat() const {
+    assert(Rows && "the table's rows are not built yet");
+    return {Rows, NumRows * NumSlots};
+  }
 
 private:
   AllocationSignature Sig;
   unsigned NumSlots;
-  std::vector<uint32_t> Flat;
+  bool Exhaustive;
+  uint64_t RealRows;
   uint64_t NumRows;
   uint64_t RowMask = 0;
-  uint64_t FrameSize;
+  uint64_t FrameSize = 0;
+  /// Seed of the large-set row sampler (unused by exhaustive tables).
+  uint64_t SamplerSeed;
+  uint64_t ShuffleSeed;
+  const uint32_t *Rows = nullptr;
 };
 
 /// The program-wide collection of shared P-BOX tables.
@@ -111,11 +141,17 @@ public:
   size_t numTables() const { return Tables.size(); }
 
   /// Total serialized size of all tables — the paper's memory overhead.
+  /// Known from the plan, before any row is built.
   uint64_t totalBytes() const;
 
-  /// Serializes all tables into one read-only blob; \p TableByteOffsets[i]
-  /// receives the byte offset of table i within the blob.
-  std::vector<uint8_t> serialize(std::vector<uint64_t> &TableByteOffsets) const;
+  /// Builds every table's rows in place in one read-only blob of
+  /// totalBytes() bytes; \p TableByteOffsets[i] receives the byte offset of
+  /// table i within it. This is the only write of the rows: the tables read
+  /// them from the blob afterwards, so the blob must outlive every row read
+  /// (moving it keeps its bytes in place — the pass moves it into the P-BOX
+  /// global, which VMs then map without copying).
+  [[nodiscard]] std::vector<uint8_t>
+  build(std::vector<uint64_t> &TableByteOffsets);
 
   const PBoxOptions &options() const { return Opts; }
 

@@ -74,16 +74,8 @@ bool SmokestackPass::runOnModule(Module &M) {
     Plan->FunctionId = NextFunctionId++;
   }
 
-  // Table byte offsets within the (future) global: prefix sums.
-  TableOffsets.clear();
-  uint64_t Offset = 0;
-  for (size_t I = 0; I != Box.numTables(); ++I) {
-    TableOffsets.push_back(Offset);
-    Offset += Box.table(static_cast<unsigned>(I)).byteSize();
-  }
-
-  // Phase 2: emit the P-BOX global (contents are final), then rewrite each
-  // function against it.
+  // Phase 2: build the P-BOX global (every table's rows in place in its
+  // initializer), then rewrite each function against it.
   emitPBoxGlobal(M);
   for (FunctionPlan &Plan : Plans) {
     if (!Plan.Allocas.empty()) {
@@ -100,9 +92,10 @@ bool SmokestackPass::runOnModule(Module &M) {
 }
 
 void SmokestackPass::emitPBoxGlobal(Module &M) {
-  std::vector<uint64_t> Offsets;
-  std::vector<uint8_t> Blob = Box.serialize(Offsets);
-  assert(Offsets == TableOffsets && "offset bookkeeping diverged");
+  // The blob is sized from the planned tables and filled row by row; moving
+  // it into the global keeps those bytes where they are, and every VM maps
+  // them in place, so the P-BOX is written exactly once.
+  std::vector<uint8_t> Blob = Box.build(TableOffsets);
   if (Blob.empty())
     Blob.push_back(0); // degenerate but keeps the global well-formed
   Type *ArrTy = M.getContext().getArrayTy(M.getContext().getInt8Ty(),

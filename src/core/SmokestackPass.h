@@ -48,8 +48,8 @@ struct SmokestackOptions {
 /// Name of the read-only global carrying the serialized P-BOX.
 inline constexpr const char *PBoxGlobalName = "__smokestack_pbox";
 
-/// The instrumentation pass. Run it through a PassManager, then call
-/// finalize() once to emit the P-BOX global.
+/// The instrumentation pass. Run it through a PassManager; runOnModule
+/// emits the P-BOX global and rewrites every frame against it.
 class SmokestackPass : public ModulePass {
 public:
   explicit SmokestackPass(SmokestackOptions Opts = SmokestackOptions())
@@ -58,7 +58,9 @@ public:
   const char *getPassName() const override { return "smokestack"; }
   bool runOnModule(Module &M) override;
 
-  /// The P-BOX built while instrumenting (valid after runOnModule).
+  /// The P-BOX built while instrumenting (valid after runOnModule). Its
+  /// tables read their rows from the module's P-BOX global, so row reads
+  /// need that module alive.
   const PBox &pbox() const { return Box; }
 
   /// Number of functions instrumented.
@@ -74,8 +76,8 @@ private:
 
   SmokestackOptions Opts;
   PBox Box;
-  /// Byte offset of each table inside the emitted global; filled lazily as
-  /// tables are assigned, finalized in emitPBoxGlobal.
+  /// Byte offset of each table inside the emitted global (from
+  /// PBox::build in emitPBoxGlobal).
   std::vector<uint64_t> TableOffsets;
   unsigned Instrumented = 0;
   uint64_t NextFunctionId = 0x5343'0001; // arbitrary distinctive base

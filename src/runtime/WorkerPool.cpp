@@ -327,9 +327,9 @@ void WorkerPool::rebuildWorker(Worker &W) {
   if (Snapshot) {
     // Fast-path: restore the existing VM to the shared post-load image and
     // reset the RNG in place. Bitwise equivalent to the reconstruction
-    // below (vm/Snapshot.h), at O(bytes dirtied) instead of a 37 MiB
-    // SimMemory rebuild — under chaos this is the dominant cost of a
-    // contained crash or a worker-death restart.
+    // below (vm/Snapshot.h), at O(bytes dirtied) instead of a SimMemory
+    // rebuild that faults every touched page back in — under chaos this is
+    // the dominant cost of a contained crash or a worker-death restart.
     W.VM->restoreFromSnapshot(*Snapshot);
     W.Rng->reset();
     ++NumPoolSnapshotRestores;

@@ -285,7 +285,7 @@ struct PoolOptions {
   /// at construction (shared read-only by every worker) and rebuilds a
   /// crashed or dead worker by restoring its existing Interpreter and
   /// resetting its RequestRng in place — O(bytes dirtied) instead of a
-  /// 37 MiB SimMemory reconstruction plus a module re-layout. Restore is
+  /// SimMemory reconstruction plus a module re-layout. Restore is
   /// bitwise equivalent to reconstruction (vm/Snapshot.h), so outcomes,
   /// books, and soak digests are identical either way at any worker count
   /// — the snapshot differential suite (ctest label `snapshot`) proves

@@ -143,13 +143,24 @@ void Interpreter::loadGlobals() {
     return;
   GlobalsLoaded = true;
   GlobalAddresses = layoutModuleGlobals(M);
+  // Writable globals are copied into their arena; read-only ones (the
+  // P-BOX) are mapped in place, borrowing the module's initializer bytes.
+  // The layout packs read-only globals in module order, so the regions
+  // come out sorted and disjoint.
+  std::vector<ReadOnlyRegion> ReadOnly;
   for (size_t I = 0, E = M.getNumGlobals(); I != E; ++I) {
     const GlobalVariable *G = M.getGlobalAt(I);
     const std::vector<uint8_t> &Init = G->getInitializer();
-    if (!Init.empty())
-      Memory.write(GlobalAddresses[G->getName()], Init.data(), Init.size(),
-                   /*IgnoreProtection=*/true);
+    if (Init.empty())
+      continue;
+    uint64_t Addr = GlobalAddresses[G->getName()];
+    if (G->isReadOnly())
+      ReadOnly.push_back(
+          {Addr - MemoryMap::RODataBase, Init.data(), Init.size()});
+    else
+      Memory.write(Addr, Init.data(), Init.size());
   }
+  Memory.mapReadOnly(std::move(ReadOnly));
 }
 
 uint64_t Interpreter::getGlobalAddress(const std::string &Name) const {

@@ -104,6 +104,9 @@ struct InterpreterOptions {
 /// The Mini-IR virtual machine.
 class Interpreter {
 public:
+  /// \p M must outlive the VM: its read-only globals are mapped into the
+  /// VM's rodata in place, not copied (vm/SimMemory.h), so \p M must also
+  /// gain no read-only globals once the VM has loaded.
   explicit Interpreter(Module &M, RandomSource *Rng = nullptr,
                        InterpreterOptions Opts = InterpreterOptions());
   ~Interpreter();

@@ -10,6 +10,7 @@
 #include "support/ErrorHandling.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -46,26 +47,30 @@ const char *smokestack::trapKindName(TrapKind Kind) {
 }
 
 SimMemory::SimMemory()
-    : Globals{"globals", MemoryMap::GlobalsBase, true,
-              ByteArena(MemoryMap::GlobalsSize)},
-      ROData{"rodata", MemoryMap::RODataBase, false,
-             ByteArena(MemoryMap::RODataSize)},
-      Heap{"heap", MemoryMap::HeapBase, true, ByteArena(MemoryMap::HeapSize)},
-      Stack{"stack", MemoryMap::StackBase, true,
-            ByteArena(MemoryMap::StackSize)} {}
+    : Globals{MemoryMap::GlobalsBase, ByteArena(MemoryMap::GlobalsSize)},
+      Heap{MemoryMap::HeapBase, ByteArena(MemoryMap::HeapSize)},
+      Stack{MemoryMap::StackBase, ByteArena(MemoryMap::StackSize)} {}
+
+namespace {
+
+/// True if [Addr, Addr+Size) lies inside the read-only segment.
+bool inReadOnly(uint64_t Addr, uint64_t Size) {
+  return Addr >= MemoryMap::RODataBase && Size <= MemoryMap::RODataSize &&
+         Addr - MemoryMap::RODataBase <= MemoryMap::RODataSize - Size;
+}
+
+} // namespace
 
 SimMemory::Segment *SimMemory::findSegment(uint64_t Addr, uint64_t Size) {
   // Segment bases are 16 MiB-aligned and no segment spans a 16 MiB block
   // boundary it does not own, so the top address byte picks the candidate
   // directly; contains() then applies the exact bounds (this is the only
-  // dispatch on the load/store hot path, replacing a four-segment scan).
+  // dispatch on the load/store hot path, replacing a segment scan). The
+  // read-only segment is not an arena, so it is never returned here.
   Segment *Seg;
   switch (Addr >> 24) {
   case 0x00:
     Seg = &Globals;
-    break;
-  case 0x01:
-    Seg = &ROData;
     break;
   case 0x04:
     Seg = &Heap;
@@ -92,34 +97,75 @@ void SimMemory::raiseUnmapped(uint64_t Addr, uint64_t Size, const char *What) {
 }
 
 bool SimMemory::read(uint64_t Addr, void *Out, uint64_t Size) {
-  const Segment *Seg = findSegment(Addr, Size);
-  if (!Seg) {
-    raiseUnmapped(Addr, Size, "read");
-    return false;
+  if (const Segment *Seg = findSegment(Addr, Size)) {
+    std::memcpy(Out, Seg->Mem.data() + (Addr - Seg->Base), Size);
+    return true;
   }
-  std::memcpy(Out, Seg->Mem.data() + (Addr - Seg->Base), Size);
-  return true;
+  // Read-only data. The hot case — the next entry of a P-BOX row — lies
+  // inside the region the previous read hit; the wrapping differences
+  // reject addresses below it, and the region lies inside the segment.
+  uint64_t Off = Addr - MemoryMap::RODataBase;
+  if (Off - Hot.Offset < Hot.Size && Size <= Hot.end() - Off) {
+    std::memcpy(Out, Hot.Host + (Off - Hot.Offset), Size);
+    return true;
+  }
+  if (inReadOnly(Addr, Size)) {
+    readReadOnly(Off, static_cast<uint8_t *>(Out), Size);
+    return true;
+  }
+  raiseUnmapped(Addr, Size, "read");
+  return false;
 }
 
-bool SimMemory::write(uint64_t Addr, const void *Data, uint64_t Size,
-                      bool IgnoreProtection) {
+void SimMemory::readReadOnly(uint64_t Off, uint8_t *Out, uint64_t Size) {
+  // Regions are sorted and disjoint, so their ends ascend too: start at the
+  // first region that ends past Off.
+  auto It = std::upper_bound(
+      ReadOnly.begin(), ReadOnly.end(), Off,
+      [](uint64_t O, const ReadOnlyRegion &R) { return O < R.end(); });
+  // A read inside one initializer makes that region the hot one.
+  if (It != ReadOnly.end() && It->Offset <= Off && Off + Size <= It->end()) {
+    Hot = *It;
+    std::memcpy(Out, Hot.Host + (Off - Hot.Offset), Size);
+    return;
+  }
+  // Otherwise zero-fill, then copy every overlapping region.
+  std::memset(Out, 0, Size);
+  for (; It != ReadOnly.end() && It->Offset < Off + Size; ++It) {
+    uint64_t Lo = std::max(Off, It->Offset);
+    uint64_t Hi = std::min(Off + Size, It->end());
+    std::memcpy(Out + (Lo - Off), It->Host + (Lo - It->Offset), Hi - Lo);
+  }
+}
+
+bool SimMemory::write(uint64_t Addr, const void *Data, uint64_t Size) {
   Segment *Seg = findSegment(Addr, Size);
   if (!Seg) {
-    raiseUnmapped(Addr, Size, "write");
-    return false;
-  }
-  if (!Seg->Writable && !IgnoreProtection) {
+    if (!inReadOnly(Addr, Size)) {
+      raiseUnmapped(Addr, Size, "write");
+      return false;
+    }
     Trap = TrapKind::ReadOnlyViolation;
     TrapMessage =
-        formatString("write of %llu bytes at 0x%llx into read-only '%s'",
-                     (unsigned long long)Size, (unsigned long long)Addr,
-                     Seg->Name);
+        formatString("write of %llu bytes at 0x%llx into read-only 'rodata'",
+                     (unsigned long long)Size, (unsigned long long)Addr);
     return false;
   }
   uint64_t Off = Addr - Seg->Base;
   std::memcpy(Seg->Mem.data() + Off, Data, Size);
   Seg->Mem.noteTouched(Off, Off + Size);
   return true;
+}
+
+void SimMemory::mapReadOnly(std::vector<ReadOnlyRegion> Regions) {
+  for (size_t I = 0; I != Regions.size(); ++I) {
+    assert(Regions[I].Size && Regions[I].end() <= MemoryMap::RODataSize &&
+           "read-only region must be non-empty and inside the segment");
+    assert((I == 0 || Regions[I - 1].end() <= Regions[I].Offset) &&
+           "read-only regions must be sorted and disjoint");
+  }
+  ReadOnly = std::move(Regions);
+  Hot = {};
 }
 
 bool SimMemory::loadInt(uint64_t Addr, uint64_t Size, uint64_t &Out) {
@@ -153,7 +199,7 @@ bool SimMemory::readCString(uint64_t Addr, std::string &Out,
 }
 
 bool SimMemory::isMapped(uint64_t Addr, uint64_t Size) const {
-  return findSegment(Addr, Size) != nullptr;
+  return findSegment(Addr, Size) != nullptr || inReadOnly(Addr, Size);
 }
 
 uint64_t SimMemory::scrubStack(uint64_t FromAddr) {

@@ -11,11 +11,20 @@
 /// corrupt neighboring objects — exactly the hardware behavior DOP attacks
 /// exploit — while accesses outside any segment trap like a real segfault.
 ///
-/// Each segment's backing store is a ByteArena (support/Arena.h): writes
-/// maintain an exact touched-byte range, so returning a segment to its
-/// post-load image costs O(bytes actually dirtied) — the mechanism behind
-/// both the request-boundary hygiene metrics and the snapshot/restore
+/// The three writable segments are backed by ByteArenas (support/Arena.h):
+/// writes maintain an exact touched-byte range, so returning a segment to
+/// its post-load image costs O(bytes actually dirtied) — the mechanism
+/// behind both the request-boundary hygiene metrics and the snapshot/restore
 /// fast-path (vm/Snapshot.h).
+///
+/// The read-only segment has no backing store of its own. It is a sorted
+/// list of ReadOnlyRegions that alias each read-only global's initializer
+/// in the Module, as a binary's .rodata is mapped from the file rather than
+/// copied: the multi-MiB P-BOX is written once, by the pass, and every VM
+/// reads those very bytes. Every write into the segment traps
+/// ReadOnlyViolation. Lifetime rule: a VM borrows its module's read-only
+/// initializers, so the Module must outlive the VM (and any snapshot taken
+/// of it), and must not gain read-only globals after the VM has loaded.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,10 +36,22 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace smokestack {
 
 struct VmSnapshot;
+
+/// One read-only global mapped in place: the rodata segment's bytes
+/// [Offset, Offset + Size) read Host[0, Size). The host bytes are borrowed
+/// (the global's initializer), never copied.
+struct ReadOnlyRegion {
+  uint64_t Offset = 0;
+  const uint8_t *Host = nullptr;
+  uint64_t Size = 0;
+
+  uint64_t end() const { return Offset + Size; }
+};
 
 /// Segment layout constants (fixed virtual addresses).
 struct MemoryMap {
@@ -58,10 +79,20 @@ public:
   /// unmapped access.
   bool read(uint64_t Addr, void *Out, uint64_t Size);
 
-  /// Writes \p Size bytes at \p Addr, honoring read-only protection unless
-  /// \p IgnoreProtection (used only by the loader to populate the P-BOX).
-  bool write(uint64_t Addr, const void *Data, uint64_t Size,
-             bool IgnoreProtection = false);
+  /// Writes \p Size bytes at \p Addr. Returns false (and sets the trap) on
+  /// unmapped access or on any write into the read-only segment.
+  bool write(uint64_t Addr, const void *Data, uint64_t Size);
+
+  /// Maps the read-only segment onto \p Regions (sorted by Offset,
+  /// disjoint, non-empty, inside the segment), replacing the previous map.
+  /// Bytes no region covers — alignment gaps, zero-fill tails, the rest of
+  /// the segment — read as zero. The host bytes must outlive this memory.
+  void mapReadOnly(std::vector<ReadOnlyRegion> Regions);
+
+  /// The current read-only map (what mapReadOnly installed).
+  const std::vector<ReadOnlyRegion> &readOnlyRegions() const {
+    return ReadOnly;
+  }
 
   /// Loads a little-endian unsigned integer of \p Size bytes (1/2/4/8).
   bool loadInt(uint64_t Addr, uint64_t Size, uint64_t &Out);
@@ -129,24 +160,22 @@ public:
             Stack.Mem.touchedHiSlot()};
   }
 
-  /// Captures every segment's touched content plus the heap cursor into
-  /// \p S (vm/Snapshot.h; implemented in Snapshot.cpp).
+  /// Captures every writable segment's touched content, the heap cursor and
+  /// the read-only map into \p S (vm/Snapshot.h; implemented in
+  /// Snapshot.cpp).
   void captureImage(VmSnapshot &S) const;
 
   /// Restores memory to a captured image: each writable segment's current
   /// touched range is zeroed and the captured bytes are copied back, making
-  /// the segment bitwise identical to its capture-time state. Read-only
-  /// segments are skipped when their touched range still matches the
-  /// capture (nothing but the one-shot loader can write them), which keeps
-  /// restore cost independent of the multi-MiB P-BOX. Returns the bytes
+  /// the segment bitwise identical to its capture-time state, and the
+  /// captured read-only map is installed (no rodata byte is copied, so
+  /// restore cost is independent of the multi-MiB P-BOX). Returns the bytes
   /// written (zeroed + copied; reset-cost observability).
   uint64_t restoreImage(const VmSnapshot &S);
 
 private:
   struct Segment {
-    const char *Name;
     uint64_t Base;
-    bool Writable;
     ByteArena Mem;
 
     bool contains(uint64_t Addr, uint64_t Size) const {
@@ -158,11 +187,15 @@ private:
   Segment *findSegment(uint64_t Addr, uint64_t Size);
   const Segment *findSegment(uint64_t Addr, uint64_t Size) const;
   void raiseUnmapped(uint64_t Addr, uint64_t Size, const char *What);
+  void readReadOnly(uint64_t Off, uint8_t *Out, uint64_t Size);
 
   Segment Globals;
-  Segment ROData;
   Segment Heap;
   Segment Stack;
+  std::vector<ReadOnlyRegion> ReadOnly;
+  /// Cache of the region the last one-region rodata read hit (Size 0:
+  /// none), checked before the search; reset whenever the map changes.
+  ReadOnlyRegion Hot;
   TrapKind Trap = TrapKind::None;
   std::string TrapMessage;
 };

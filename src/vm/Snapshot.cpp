@@ -68,24 +68,18 @@ uint64_t restoreSegment(ByteArena &Mem, const VmSnapshot::SegmentImage &Img) {
 
 void SimMemory::captureImage(VmSnapshot &S) const {
   captureSegment(Globals.Mem, S.Globals);
-  captureSegment(ROData.Mem, S.ROData);
   captureSegment(Heap.Mem, S.Heap);
   captureSegment(Stack.Mem, S.Stack);
   S.HeapCursor = Heap.Mem.cursor();
+  S.ReadOnly = ReadOnly;
 }
 
 uint64_t SimMemory::restoreImage(const VmSnapshot &S) {
   uint64_t Written = restoreSegment(Globals.Mem, S.Globals);
-  // Read-only data cannot have changed since capture — only the one-shot
-  // global loader writes it (IgnoreProtection), and it ran before capture
-  // — so the multi-MiB P-BOX image is skipped whenever the touched range
-  // still matches. The range check keeps the skip safe against any future
-  // loader-style writer: a grown range forces a full restore.
-  if (ROData.Mem.touchedLo() != S.ROData.TouchedLo ||
-      ROData.Mem.touchedHi() != S.ROData.TouchedHi)
-    Written += restoreSegment(ROData.Mem, S.ROData);
   Written += restoreSegment(Heap.Mem, S.Heap);
   Written += restoreSegment(Stack.Mem, S.Stack);
+  ReadOnly = S.ReadOnly;
+  Hot = {};
   Heap.Mem.resetCursor();
   if (S.HeapCursor) {
     uint64_t Off = Heap.Mem.tryAllocate(S.HeapCursor);

@@ -6,18 +6,25 @@
 ///
 /// \file
 /// A VmSnapshot freezes an Interpreter's post-load state — the touched
-/// content of every SimMemory segment, the heap cursor, and the global
-/// address map — so that returning a VM to "freshly constructed + globals
-/// loaded" is a delta restore over the dirtied bytes instead of a 37 MiB
-/// reallocation and a full module re-layout.
+/// content of every writable SimMemory segment, the heap cursor, the
+/// read-only map, and the global address map — so that returning a VM to
+/// "freshly constructed + globals loaded" is a delta restore over the
+/// dirtied bytes instead of a reconstruction and a full module re-layout.
+///
+/// The snapshot holds no read-only bytes. Read-only globals (the multi-MiB
+/// P-BOX) are mapped in place from the Module's initializers
+/// (vm/SimMemory.h), so the snapshot carries only their (offset, host span)
+/// regions; a VM restored from a snapshot another VM captured reads the
+/// very same host bytes. The Module must therefore outlive the snapshot.
 ///
 /// Why restore equals reconstruction, bit for bit: a fresh SimMemory is
 /// all zeroes, loading globals writes a layout that is a pure function of
-/// the Module (vm/DecodedProgram.h's layoutModuleGlobals), and every write
-/// since capture is bracketed by the segments' touched ranges. Zeroing the
-/// touched range and copying the captured image back therefore reproduces
-/// the post-load byte image exactly; restoring the captured address map
-/// reproduces the layout a rebuilt interpreter would recompute. The
+/// the Module (vm/DecodedProgram.h's layoutModuleGlobals), every write
+/// since capture is bracketed by the writable segments' touched ranges,
+/// and no write can reach the read-only segment. Zeroing the touched range
+/// and copying the captured image back therefore reproduces the post-load
+/// byte image exactly; restoring the captured address map and read-only
+/// map reproduces the layout a rebuilt interpreter would recompute. The
 /// snapshot differential suite (ctest label `snapshot`) pins this down:
 /// outcome digests and pool books are identical with the fast-path on or
 /// off, at any worker count, under chaos.
@@ -32,6 +39,8 @@
 
 #ifndef SMOKESTACK_VM_SNAPSHOT_H
 #define SMOKESTACK_VM_SNAPSHOT_H
+
+#include "vm/SimMemory.h"
 
 #include <cstdint>
 #include <string>
@@ -54,18 +63,20 @@ struct VmSnapshot {
   };
 
   SegmentImage Globals;
-  SegmentImage ROData;
   SegmentImage Heap;
   SegmentImage Stack;
   /// Heap bump-cursor position at capture time.
   uint64_t HeapCursor = 0;
+  /// The read-only map at capture time: views of the Module's read-only
+  /// initializers, no bytes.
+  std::vector<ReadOnlyRegion> ReadOnly;
   /// The module's global layout at capture time (a pure function of the
   /// module, so sharing it skips re-running layoutModuleGlobals).
   std::unordered_map<std::string, uint64_t> GlobalAddresses;
 
   /// Total captured image bytes (footprint accounting).
   uint64_t imageBytes() const {
-    return Globals.size() + ROData.size() + Heap.size() + Stack.size();
+    return Globals.size() + Heap.size() + Stack.size();
   }
 };
 

@@ -7,7 +7,7 @@
 /// \file
 /// Pins P-BOX table construction bit for bit. Each case records the FNV
 /// digest of a table's row-major offsets (with its row count and frame
-/// size) and of the serialized blob the pass writes into rodata. The
+/// size) and of the blob the pass builds into the P-BOX global. The
 /// goldens were recorded from the per-row construction (one LayoutRow per
 /// factorial-base decode, rows shuffled as objects); any construction must
 /// reproduce them, since the blob is what every Smokestack victim loads.
@@ -42,9 +42,8 @@ uint64_t tableDigest(const PBoxTable &T) {
   return D.value();
 }
 
-uint64_t blobDigest(const PBox &Box) {
-  std::vector<uint64_t> TableOffsets;
-  std::vector<uint8_t> Blob = Box.serialize(TableOffsets);
+uint64_t blobDigest(const std::vector<uint8_t> &Blob,
+                    const std::vector<uint64_t> &TableOffsets) {
   Fnv64 D;
   D.mix(Blob.size());
   for (uint64_t Offset : TableOffsets)
@@ -65,7 +64,9 @@ Golden digestOne(const std::vector<AllocationSlot> &Slots,
   PBox Box(Opts);
   AllocationSignature Sig;
   unsigned Id = Box.assignTable(Slots, Sig);
-  return {tableDigest(Box.table(Id)), blobDigest(Box)};
+  std::vector<uint64_t> TableOffsets;
+  std::vector<uint8_t> Blob = Box.build(TableOffsets);
+  return {tableDigest(Box.table(Id)), blobDigest(Blob, TableOffsets)};
 }
 
 void expectGolden(const Golden &Got, const Golden &Want) {
@@ -141,11 +142,13 @@ TEST(PBoxGoldenTest, MultiTableBlobs) {
       AllocationSignature Sig;
       Tables.mix(Box.assignTable(Slots, Sig));
     }
+    std::vector<uint64_t> TableOffsets;
+    std::vector<uint8_t> Blob = Box.build(TableOffsets);
     for (unsigned Id = 0; Id != Box.numTables(); ++Id)
       Tables.mix(tableDigest(Box.table(Id)));
     Fnv64 D;
     D.mix(Tables.value());
-    D.mix(blobDigest(Box));
+    D.mix(blobDigest(Blob, TableOffsets));
     EXPECT_EQ(D.value(), Want[Share ? 0 : 1])
         << std::hex << "digest 0x" << D.value();
   }

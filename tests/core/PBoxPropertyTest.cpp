@@ -75,6 +75,12 @@ void expectSoundForFunction(const PBoxTable &Table,
   }
 }
 
+/// Builds \p Box's rows; the tables read them from the returned blob.
+std::vector<uint8_t> buildRows(PBox &Box) {
+  std::vector<uint64_t> Offsets;
+  return Box.build(Offsets);
+}
+
 class PBoxPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 } // namespace
@@ -84,6 +90,7 @@ TEST_P(PBoxPropertyTest, EveryRowSoundThroughCanonicalMapping) {
   PBox Box;
   AllocationSignature Sig;
   unsigned Id = Box.assignTable(Slots, Sig);
+  std::vector<uint8_t> Blob = buildRows(Box);
   expectSoundForFunction(Box.table(Id), Sig, Slots);
 }
 
@@ -96,6 +103,7 @@ TEST_P(PBoxPropertyTest, ReversedDeclarationSharesAndStaysSound) {
   unsigned IdA = Box.assignTable(Slots, SigA);
   unsigned IdB = Box.assignTable(Reversed, SigB);
   EXPECT_EQ(IdA, IdB) << "same multiset must share one table";
+  std::vector<uint8_t> Blob = buildRows(Box);
   expectSoundForFunction(Box.table(IdA), SigA, Slots);
   expectSoundForFunction(Box.table(IdB), SigB, Reversed);
 }
@@ -111,6 +119,7 @@ TEST_P(PBoxPropertyTest, BorrowedTableLaysOutTheSmallerFunction) {
   AllocationSignature SigBig, SigSmall;
   unsigned IdBig = Box.assignTable(Big, SigBig);
   unsigned IdSmall = Box.assignTable(Small, SigSmall);
+  std::vector<uint8_t> Blob = buildRows(Box);
   if (IdBig == IdSmall) {
     // Round-up sharing engaged: the smaller function reads the first
     // columns of the bigger table and must still be sound.

@@ -22,6 +22,12 @@ std::vector<AllocationSlot> doubleInt() {
   return {{8, 8, "d"}, {4, 4, "i"}};
 }
 
+/// Builds \p Box's rows; the tables read them from the returned blob.
+std::vector<uint8_t> buildRows(PBox &Box) {
+  std::vector<uint64_t> Offsets;
+  return Box.build(Offsets);
+}
+
 } // namespace
 
 TEST(PBoxTest, PowerOfTwoPadding) {
@@ -52,6 +58,7 @@ TEST(PBoxTest, PaddedRowsWrapAround) {
   AllocationSignature Sig;
   unsigned Id = Box.assignTable(
       {{8, 8, "a"}, {4, 4, "b"}, {1, 1, "c"}}, Sig);
+  std::vector<uint8_t> Blob = buildRows(Box);
   const PBoxTable &Table = Box.table(Id);
   std::set<std::vector<uint32_t>> Unique;
   for (uint64_t Row = 0; Row != Table.numRows(); ++Row) {
@@ -71,6 +78,7 @@ TEST(PBoxTest, RowsAreShuffled) {
   std::vector<AllocationSlot> Slots = {
       {8, 8, "a"}, {16, 8, "b"}, {24, 8, "c"}, {32, 8, "d"}};
   unsigned Id = Box.assignTable(Slots, Sig);
+  std::vector<uint8_t> Blob = buildRows(Box);
   const PBoxTable &Table = Box.table(Id);
 
   bool InLexicalOrder = true;
@@ -120,6 +128,7 @@ TEST(PBoxTest, RoundUpSharingBorrowsBiggerTable) {
   unsigned Small = Box.assignTable({{8, 8, "d1"}, {8, 8, "d2"}}, Sig);
   EXPECT_EQ(Big, Small);
   EXPECT_EQ(Box.numTables(), 1u);
+  std::vector<uint8_t> Blob = buildRows(Box);
   // The smaller function pays the bigger table's frame (extra padding).
   EXPECT_EQ(Box.table(Small).numSlots(), 3u);
   EXPECT_GE(Box.table(Small).frameSize(), 16u);
@@ -152,8 +161,10 @@ TEST(PBoxTest, SerializeRoundTrip) {
   AllocationSignature Sig;
   Box.assignTable({{4, 4, "i"}, {8, 8, "d"}}, Sig);
   Box.assignTable({{16, 8, "b"}, {8, 8, "x"}, {1, 1, "c"}}, Sig);
+  uint64_t Planned = Box.totalBytes();
   std::vector<uint64_t> Offsets;
-  std::vector<uint8_t> Blob = Box.serialize(Offsets);
+  std::vector<uint8_t> Blob = Box.build(Offsets);
+  EXPECT_EQ(Planned, Blob.size()) << "the plan sizes the blob exactly";
   ASSERT_EQ(Offsets.size(), Box.numTables());
   EXPECT_EQ(Blob.size(), Box.totalBytes());
   for (unsigned Id = 0; Id != Box.numTables(); ++Id) {
@@ -178,6 +189,7 @@ TEST(PBoxTest, LargeAllocationSetUsesSampledRows) {
     Slots.push_back({8 + 8 * (I % 3), 8, "s" + std::to_string(I)});
   AllocationSignature Sig;
   unsigned Id = Box.assignTable(Slots, Sig);
+  std::vector<uint8_t> Blob = buildRows(Box);
   const PBoxTable &Table = Box.table(Id);
   EXPECT_EQ(Table.numRows(), 1024u);
   EXPECT_EQ(Table.rowMask(), 1023u);
@@ -202,6 +214,7 @@ TEST(PBoxTest, FrameSizeCoversEveryRow) {
   AllocationSignature Sig;
   unsigned Id = Box.assignTable(
       {{8, 8, "a"}, {1, 1, "b"}, {4, 4, "c"}, {16, 8, "d"}}, Sig);
+  std::vector<uint8_t> Blob = buildRows(Box);
   const PBoxTable &Table = Box.table(Id);
   EXPECT_EQ(Table.frameSize() % 16, 0u);
   for (uint64_t Row = 0; Row != Table.numRows(); ++Row)

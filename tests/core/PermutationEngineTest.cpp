@@ -49,6 +49,8 @@ std::vector<LayoutRow> tableRows(const std::vector<AllocationSlot> &Slots) {
   Opts.PowerOfTwoRows = false;
   AllocationSignature Sig(Slots);
   PBoxTable Table(Sig, Opts, Opts.ShuffleSeed);
+  std::vector<uint32_t> Storage(Table.numRows() * Table.numSlots());
+  Table.fill(Storage.data());
   std::vector<LayoutRow> Rows(Table.numRows());
   for (uint64_t R = 0; R != Table.numRows(); ++R) {
     LayoutRow &Row = Rows[R];

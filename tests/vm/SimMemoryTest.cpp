@@ -48,10 +48,16 @@ TEST(SimMemoryTest, ReadOnlySegmentRejectsWrites) {
   EXPECT_FALSE(Mem.write(MemoryMap::RODataBase, &Value, 4));
   EXPECT_EQ(Mem.getTrap(), TrapKind::ReadOnlyViolation);
   Mem.clearTrap();
-  // The loader bypass must work (this is how the P-BOX is populated).
-  EXPECT_TRUE(Mem.write(MemoryMap::RODataBase, &Value, 4,
-                        /*IgnoreProtection=*/true));
+  // The loader maps read-only bytes in place (this is how the P-BOX is
+  // populated): they read back, and writing over them still traps.
+  const uint8_t Init[4] = {7, 0, 0, 0};
+  Mem.mapReadOnly({{0, Init, sizeof(Init)}});
   uint32_t Out = 0;
+  EXPECT_TRUE(Mem.read(MemoryMap::RODataBase, &Out, 4));
+  EXPECT_EQ(Out, 7u);
+  uint32_t Other = 9;
+  EXPECT_FALSE(Mem.write(MemoryMap::RODataBase, &Other, 4));
+  EXPECT_EQ(Mem.getTrap(), TrapKind::ReadOnlyViolation);
   EXPECT_TRUE(Mem.read(MemoryMap::RODataBase, &Out, 4));
   EXPECT_EQ(Out, 7u);
 }

@@ -22,12 +22,14 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+
 using namespace smokestack;
 
 namespace {
 
 /// A module that dirties every restorable dimension: a writable global
-/// counter, a read-only table (lives in ROData like the P-BOX), a heap
+/// counter, a read-only table (mapped into rodata like the P-BOX), a heap
 /// allocation per request, stack frames, and an on-demand trap.
 void buildStatefulModule(Module &M) {
   IRBuilder B(M);
@@ -92,7 +94,6 @@ TEST(SnapshotTest, RestoreReproducesPostLoadStateBitwise) {
   // same touched ranges, same bytes, same cursor, same layout.
   VmSnapshot S2 = VM.captureSnapshot();
   expectImagesEqual(S.Globals, S2.Globals, "globals image");
-  expectImagesEqual(S.ROData, S2.ROData, "rodata image");
   expectImagesEqual(S.Heap, S2.Heap, "heap image");
   expectImagesEqual(S.Stack, S2.Stack, "stack image");
   EXPECT_EQ(S.HeapCursor, S2.HeapCursor);
@@ -102,6 +103,25 @@ TEST(SnapshotTest, RestoreReproducesPostLoadStateBitwise) {
     ASSERT_NE(It, S2.GlobalAddresses.end()) << Name;
     EXPECT_EQ(It->second, Addr) << Name;
   }
+
+  // Read-only data is mapped, never imaged: both snapshots carry the same
+  // one region, a view of the table's initializer rather than a copy, and
+  // the restored VM reads every byte of the table (its 253-byte zero-fill
+  // tail included) intact.
+  const std::vector<uint8_t> &Init = M.getGlobal("table")->getInitializer();
+  uint64_t TblAddr = VM.getGlobalAddress("table");
+  ASSERT_EQ(S.ReadOnly.size(), 1u);
+  ASSERT_EQ(S2.ReadOnly.size(), 1u);
+  for (const VmSnapshot *Snap : {&S, &S2}) {
+    EXPECT_EQ(Snap->ReadOnly[0].Offset, TblAddr - MemoryMap::RODataBase);
+    EXPECT_EQ(Snap->ReadOnly[0].Host, Init.data());
+    EXPECT_EQ(Snap->ReadOnly[0].Size, Init.size());
+  }
+  std::vector<uint8_t> Want(256, 0);
+  std::copy(Init.begin(), Init.end(), Want.begin());
+  std::vector<uint8_t> Got(256, 0xFF);
+  ASSERT_TRUE(VM.memory().read(TblAddr, Got.data(), Got.size()));
+  EXPECT_EQ(Got, Want);
 }
 
 TEST(SnapshotTest, RestoredVmMatchesFreshVmOnIdenticalRequests) {
@@ -164,7 +184,7 @@ TEST(SnapshotTest, RestoreClearsTrapCountersAndQueuedInput) {
   ASSERT_TRUE(VM.memory().loadInt(CtrAddr, 8, Ctr));
   EXPECT_EQ(Ctr, 5u) << "mutated global must revert to its initializer";
 
-  // The read-only table (ROData restore-skip path) is intact.
+  // The read-only table (mapped, not restored) is intact.
   uint64_t TblAddr = VM.getGlobalAddress("table");
   ASSERT_NE(TblAddr, 0u);
   uint64_t Tbl = 0;
