@@ -18,16 +18,23 @@
 ///                     construct a fresh one, and bring it to where a
 ///                     restored VM already is — globals loaded (its first
 ///                     run of main) and the N dirtied bytes' pages resident
-///                     again. The segments are lazily zeroed mappings, so
-///                     construction alone is a few system calls; the page
-///                     faults on the N bytes (and the unmapping of the old
-///                     VM's pages) are where a rebuild pays, and a restored
-///                     VM, whose pages stay resident, does not
+///                     again. Construction costs no system call: the
+///                     segments are lazily zeroed mappings, and a new VM
+///                     takes over the ones the last VM on the thread
+///                     parked (support/Arena.h). Tearing the old VM down
+///                     zeroes a dirty range of up to 64 KiB in place and
+///                     hands a larger one back to the kernel with madvise,
+///                     so at large N a rebuild pays that release plus a
+///                     page fault per touched page, which a restored VM,
+///                     whose pages stay resident, does not
 ///
 /// The headline metric, restore_speedup_vs_rebuild, is the full-rebuild /
 /// snapshot-restore ratio at the largest touched size: machine-relative,
 /// so it transfers across runner generations better than raw ns/op (the
-/// same idea as interp_throughput's max_speedup). Results land in
+/// same idea as interp_throughput's max_speedup). That ratio is measured
+/// in SpreadRounds more rounds, and the quartiles of all of them are
+/// reported as restore_speedup_q1/_q3, so a reader can tell a real move
+/// from the run-to-run swing of the page-fault-bound rebuild. Results land in
 /// BENCH_reset.json (path overridable as argv[1]) and are gated by
 /// tools/check_bench_regression.py in the CI bench-smoke job.
 ///
@@ -42,6 +49,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -91,6 +99,7 @@ double medianOpNanos(int Reps, SetupFn Setup, OpFn Op) {
 int main(int argc, char **argv) {
   const char *JsonPath = argc > 1 ? argv[1] : "BENCH_reset.json";
   const int Reps = 25;
+  const int SpreadRounds = 7;
   const uint64_t TouchedSizes[] = {4u << 10, 64u << 10, 256u << 10, 1u << 20};
 
   Module M("reset");
@@ -104,6 +113,36 @@ int main(int argc, char **argv) {
   std::printf("request-boundary reset cost (ns/op, median of %d)\n", Reps);
   std::printf("%12s %12s %12s %18s %14s\n", "touched", "scrub", "heap_reset",
               "snapshot_restore", "full_rebuild");
+
+  // Crash-rebuild fast-path: N bytes dirtied across stack and heap.
+  auto MeasureRestore = [&](uint64_t N) {
+    return medianOpNanos(
+        Reps,
+        [&] {
+          Mem.write(MemoryMap::StackTop - N / 2, Pattern.data(), N / 2);
+          uint64_t P = Mem.heapAlloc(N / 2);
+          Mem.write(P, Pattern.data(), N / 2);
+        },
+        [&] { VM.restoreFromSnapshot(Snap); });
+  };
+
+  // Legacy crash-rebuild: a fresh VM, its globals loaded, and one byte
+  // written per 4 KiB of the same N bytes, which faults each of their
+  // pages back in (every host page size is a multiple of 4 KiB).
+  auto MeasureRebuild = [&](uint64_t N) {
+    std::unique_ptr<Interpreter> Rebuilt;
+    return medianOpNanos(Reps, [] {}, [&] {
+      Rebuilt = std::make_unique<Interpreter>(M);
+      Rebuilt->run("main");
+      SimMemory &Fresh = Rebuilt->memory();
+      const uint8_t One = 1;
+      uint64_t Heap = Fresh.heapAlloc(N / 2);
+      for (uint64_t Off = 0; Off < N / 2; Off += 4096) {
+        Fresh.write(MemoryMap::StackTop - N / 2 + Off, &One, 1);
+        Fresh.write(Heap + Off, &One, 1);
+      }
+    });
+  };
 
   JsonWriter Json;
   Json.beginObject();
@@ -128,32 +167,8 @@ int main(int argc, char **argv) {
         },
         [&] { Mem.resetHeap(); });
 
-    // Crash-rebuild fast-path: N bytes dirtied across stack and heap.
-    double RestoreNs = medianOpNanos(
-        Reps,
-        [&] {
-          Mem.write(MemoryMap::StackTop - N / 2, Pattern.data(), N / 2);
-          uint64_t P = Mem.heapAlloc(N / 2);
-          Mem.write(P, Pattern.data(), N / 2);
-        },
-        [&] { VM.restoreFromSnapshot(Snap); });
-
-    // Legacy crash-rebuild: a fresh VM, its globals loaded, and one byte
-    // written per 4 KiB of the same N bytes, which faults each of their
-    // pages back in (every host page size is a multiple of 4 KiB).
-    std::unique_ptr<Interpreter> Rebuilt;
-    double RebuildNs = medianOpNanos(Reps, [] {}, [&] {
-      Rebuilt = std::make_unique<Interpreter>(M);
-      Rebuilt->run("main");
-      SimMemory &Fresh = Rebuilt->memory();
-      const uint8_t One = 1;
-      uint64_t Heap = Fresh.heapAlloc(N / 2);
-      for (uint64_t Off = 0; Off < N / 2; Off += 4096) {
-        Fresh.write(MemoryMap::StackTop - N / 2 + Off, &One, 1);
-        Fresh.write(Heap + Off, &One, 1);
-      }
-    });
-    Rebuilt.reset();
+    double RestoreNs = MeasureRestore(N);
+    double RebuildNs = MeasureRebuild(N);
 
     LastRestore = RestoreNs;
     LastRebuild = RebuildNs;
@@ -173,11 +188,23 @@ int main(int argc, char **argv) {
   // Headline ratio at the LARGEST touched size: the most conservative
   // point, since the rebuild's fixed construction cost counts least there.
   double Speedup = LastRestore > 0.0 ? LastRebuild / LastRestore : 0.0;
-  std::printf("\nsnapshot restore vs full rebuild at 1 MiB touched: %.1fx\n",
-              Speedup);
+  uint64_t Largest = TouchedSizes[std::size(TouchedSizes) - 1];
+  std::vector<double> Ratios = {Speedup};
+  for (int R = 0; R != SpreadRounds; ++R) {
+    double RestoreNs = MeasureRestore(Largest);
+    Ratios.push_back(RestoreNs > 0.0 ? MeasureRebuild(Largest) / RestoreNs
+                                     : 0.0);
+  }
+  std::sort(Ratios.begin(), Ratios.end());
+  double Q1 = Ratios[Ratios.size() / 4], Q3 = Ratios[Ratios.size() * 3 / 4];
+  std::printf("\nsnapshot restore vs full rebuild at 1 MiB touched: %.1fx "
+              "(q1 %.1f, q3 %.1f over %zu rounds)\n",
+              Speedup, Q1, Q3, Ratios.size());
 
   Json.endArray();
   Json.key("restore_speedup_vs_rebuild").fixed(Speedup, 3);
+  Json.key("restore_speedup_q1").fixed(Q1, 3);
+  Json.key("restore_speedup_q3").fixed(Q3, 3);
   Json.endObject();
 
   if (Json.writeFile(JsonPath)) {

@@ -5,14 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-capacity byte arena combining four cheap mechanisms that make
+/// A fixed-capacity byte arena combining five cheap mechanisms that make
 /// per-request memory hygiene O(bytes actually used) instead of O(capacity):
 ///
 ///   * lazily zeroed backing — the bytes come from one anonymous private
-///     mapping (mmap with MAP_NORESERVE, released with munmap), so a fresh
-///     arena reads all zeroes from the kernel's zero page without a memset
-///     and without faulting in a page nobody touches. Constructing an
-///     arena therefore costs a few system calls, not O(capacity);
+///     mapping (mmap with MAP_NORESERVE), so a fresh arena reads all zeroes
+///     from the kernel's zero page without a memset and without faulting in
+///     a page nobody touches;
+///   * recycled mappings — a destroyed arena does not munmap its backing
+///     but parks it on a small bounded per-thread free list (a full list
+///     unmaps its oldest entry), and the next arena of the same capacity on
+///     that thread takes the newest match over, so a VM built after one was
+///     torn down pays no system call and no page fault on the pages the
+///     last one touched. Before parking, a dirty range of at most
+///     ZeroInPlaceLimit bytes is zeroed in place; a larger one goes back to
+///     the kernel with madvise(MADV_DONTNEED), so a parked mapping holds
+///     little resident memory. Either way the parked mapping is bitwise a
+///     fresh one: an all-zero body and untouched guards (page protections
+///     never change while it is parked). A cache miss is the plain mmap
+///     path, and a thread's parked mappings are unmapped when it exits;
 ///   * guard pages — one PROT_NONE page on each side of the backing. The
 ///     data ends flush against the trailing guard, so a host-level write
 ///     one byte past capacity (say, by the JIT's inlined stack stores)
@@ -28,9 +39,16 @@
 ///
 /// Because the backing starts all-zero, an arena whose touched range has
 /// been zeroed is bitwise indistinguishable from a fresh one — the
-/// property the VM snapshot/restore fast-path is built on. An arena can be
-/// neither copied nor moved, so data() and the touched-range slots stay at
-/// one address for its whole lifetime: the JIT caches both (JitAbi.h).
+/// property both the VM snapshot/restore fast-path and mapping recycling
+/// are built on. It obliges every writer to widen the touched range over
+/// what it writes. An arena can be neither copied nor moved, so data() and
+/// the touched-range slots stay at one address for its whole lifetime: the
+/// JIT caches both (JitAbi.h).
+///
+/// Under AddressSanitizer a parked mapping's dirty range is poisoned until
+/// the mapping is reused: a stale pointer into a destroyed arena no longer
+/// faults on an unmapped page, so ASan reports the use-after-destroy
+/// instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,10 +66,25 @@ public:
   /// request overflows the arithmetic).
   static constexpr uint64_t NoSpace = UINT64_MAX;
 
-  /// Maps \p Capacity zero bytes between two guard pages; throws
-  /// std::bad_alloc when the mapping fails.
+  /// Dirty ranges up to this many bytes are zeroed in place when the arena
+  /// is destroyed; larger ones are released with madvise.
+  static constexpr uint64_t ZeroInPlaceLimit = 64u << 10;
+
+  /// Bound on the mappings one thread keeps parked (two VMs' worth of
+  /// segments); parking one more unmaps the oldest.
+  static constexpr unsigned MaxCachedMappings = 6;
+
+  /// Provides \p Capacity zero bytes between two guard pages, reusing a
+  /// mapping this thread parked if one of the same capacity is free and
+  /// mapping a new one otherwise; throws std::bad_alloc when the mapping
+  /// fails.
   explicit ByteArena(uint64_t Capacity);
+  /// Zeroes or releases the dirty range and parks the mapping on this
+  /// thread's free list (unmapping it instead once the thread is exiting).
   ~ByteArena();
+
+  /// Mappings currently parked on the calling thread's free list.
+  static unsigned cachedMappings();
 
   ByteArena(const ByteArena &) = delete;
   ByteArena &operator=(const ByteArena &) = delete;
@@ -137,6 +170,10 @@ public:
   void resetCursor() { Cursor = 0; }
 
 private:
+  /// Returns the backing to an all-zero image and parks it on this
+  /// thread's free list; false if it must be unmapped instead.
+  bool park();
+
   /// The whole mapping, guard pages included, as munmap wants it back.
   uint8_t *Mapping = nullptr;
   uint64_t MappingBytes = 0;
